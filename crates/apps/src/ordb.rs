@@ -157,6 +157,12 @@ impl OrderedDb {
     /// Point lookup through PlainTable's hash index (GETs never walk
     /// the sorted index; that is the SCAN positioning path).
     pub fn get(&self, key: u64, rec: &mut TraceRecorder) -> Option<Vec<u8>> {
+        self.get_ref(key, rec).map(<[u8]>::to_vec)
+    }
+
+    /// [`OrderedDb::get`] without copying the value out of the store
+    /// (same touches, same cost).
+    pub fn get_ref(&self, key: u64, rec: &mut TraceRecorder) -> Option<&[u8]> {
         rec.compute_ns(40.0); // key hash + bucket arithmetic
         let rank = self.hash_index.get(&self.arena, key, rec)?;
         let addr = self.record_addr(rank);
@@ -164,8 +170,7 @@ impl OrderedDb {
         if k != key {
             return None;
         }
-        let v = self.arena.read_bytes(addr + 8, self.value_len as u64, rec);
-        Some(v.to_vec())
+        Some(self.arena.read_bytes(addr + 8, self.value_len as u64, rec))
     }
 
     /// Iterates `n` records starting at the first key ≥ `start_key`,
@@ -235,19 +240,36 @@ impl Workload for RocksDbWorkload {
 
     fn next_request(&mut self, rng: &mut Rng) -> Trace {
         let mut rec = TraceRecorder::new(CostModel::default());
+        let (class, reply_bytes) = self.execute(rng, &mut rec);
+        rec.finish(class, 64, reply_bytes)
+    }
+
+    fn next_request_into(&mut self, rng: &mut Rng, buf: &mut Trace) {
+        let steps = std::mem::take(&mut buf.steps);
+        let mut rec = TraceRecorder::with_steps(CostModel::default(), steps);
+        let (class, reply_bytes) = self.execute(rng, &mut rec);
+        rec.finish_into(class, 64, reply_bytes, buf);
+    }
+}
+
+impl RocksDbWorkload {
+    /// Draws and executes one request into `rec`, returning its class
+    /// and reply size.
+    fn execute(&self, rng: &mut Rng, rec: &mut TraceRecorder) -> (u16, u32) {
         rec.compute_ns(120.0); // request parse
         let rank = rng.gen_range(self.db.num_keys());
         let key = OrderedDb::key_of_rank(rank);
         if rng.gen_bool(self.scan_fraction) {
-            let rows = self.db.scan(key, self.scan_len, &mut rec);
+            let rows = self.db.scan(key, self.scan_len, rec);
             debug_assert!(!rows.is_empty());
             rec.compute_ns(80.0); // reply with the series summary
-            rec.finish(CLASS_SCAN, 64, 16 + 9 * rows.len() as u32)
+            (CLASS_SCAN, 16 + 9 * rows.len() as u32)
         } else {
-            let v = self.db.get(key, &mut rec);
+            let v = self.db.get_ref(key, rec);
             debug_assert!(v.is_some());
+            let len = v.map_or(0, |v| v.len() as u32);
             rec.compute_ns(60.0);
-            rec.finish(CLASS_GET, 64, 16 + v.map(|v| v.len() as u32).unwrap_or(0))
+            (CLASS_GET, 16 + len)
         }
     }
 }
@@ -351,5 +373,30 @@ mod tests {
         }
         // 1 % ± noise.
         assert!((20..=90).contains(&scans), "scans = {scans}");
+    }
+
+    #[test]
+    fn recycled_draws_match_fresh_draws() {
+        // `next_request_into` (the simulator's recycling path) must
+        // record the traces `next_request` does and leave the RNG in
+        // the same state, SCANs included.
+        let mut fresh = RocksDbWorkload::new(5_000, 1024);
+        let mut warm = RocksDbWorkload::new(5_000, 1024);
+        let (mut r1, mut r2) = (Rng::new(77), Rng::new(77));
+        let mut buf = Trace::default();
+        let mut scans = 0;
+        for i in 0..10_000 {
+            let want = fresh.next_request(&mut r1);
+            warm.next_request_into(&mut r2, &mut buf);
+            assert_eq!(buf.steps, want.steps, "request {i}");
+            assert_eq!(
+                (buf.class, buf.request_bytes, buf.reply_bytes),
+                (want.class, want.request_bytes, want.reply_bytes),
+                "request {i}"
+            );
+            assert_eq!(r1.clone().next_u64(), r2.clone().next_u64(), "rng at {i}");
+            scans += usize::from(want.class == CLASS_SCAN);
+        }
+        assert!(scans > 50, "scans = {scans}");
     }
 }

@@ -53,7 +53,7 @@ pub use profile::{
 pub use rng::Rng;
 pub use series::TimeSeries;
 pub use span::{
-    CriticalPath, Span, SpanBuilder, SpanConfig, SpanReport, SpanStore, SpanTree, StageStats,
+    CriticalPath, Span, SpanBuilder, SpanConfig, SpanReport, SpanStore, SpanTree, Stage, StageStats,
 };
 pub use telemetry::{
     health_score, parse_slo_spec, EpisodeNote, FlightRecorder, HealthInput, SloEvent, SloEventKind,

@@ -200,17 +200,17 @@ pub mod queue_names {
     ];
 }
 
-struct CoreSlot {
-    label: String,
-    /// Counts toward worker aggregates (`worker_spin_fraction`).
-    is_worker: bool,
+/// One core's accrual state, kept small: an accrual touches only this
+/// and the tile it adds to.
+struct CoreCursor {
     /// Everything before this instant has been accrued to some state.
-    cursor: SimTime,
+    at: SimTime,
+    /// Flame sub-window holding the last accrual; the next one starts
+    /// here or later, since the cursor never moves backwards.
+    sub: u32,
     /// State accrued for open-ended intervals (idle/parked/stalled gaps
     /// closed by the next `flush`).
     gap: CoreState,
-    /// ns per state per flame sub-window, measurement-window scoped.
-    tiles: Vec<[u64; NUM_STATES]>,
 }
 
 /// Exhaustive per-core state accounting over the measurement window.
@@ -231,7 +231,17 @@ pub struct CoreProfiler {
     w_start: SimTime,
     w_end: SimTime,
     flame_windows: usize,
-    cores: Vec<CoreSlot>,
+    /// Flame sub-window edges in ns: sub-window `k` covers
+    /// `[edges[k], edges[k + 1])`, with `edges[k] = ws + win·k/nb` and
+    /// the last edge the window end.
+    edges: Vec<u64>,
+    cursors: Vec<CoreCursor>,
+    /// ns per state per flame sub-window, measurement-window scoped;
+    /// core `c`'s sub-window `k` is row `c·nb + k`.
+    tiles: Vec<[u64; NUM_STATES]>,
+    /// Per core: display label, and whether it counts toward worker
+    /// aggregates (`worker_spin_fraction`).
+    labels: Vec<(String, bool)>,
 }
 
 impl CoreProfiler {
@@ -244,93 +254,95 @@ impl CoreProfiler {
     pub fn new(w_start: SimTime, w_end: SimTime, cfg: &ProfileConfig) -> CoreProfiler {
         assert!(w_end >= w_start, "inverted measurement window");
         assert!(cfg.flame_windows >= 1, "flame_windows must be positive");
+        let (ws, win) = (w_start.as_nanos(), w_end.since(w_start).as_nanos());
+        let nb = cfg.flame_windows as u128;
+        let edges = (0..=nb)
+            .map(|k| ws + (win as u128 * k / nb) as u64)
+            .collect();
         CoreProfiler {
             w_start,
             w_end,
             flame_windows: cfg.flame_windows,
-            cores: Vec::new(),
+            edges,
+            cursors: Vec::new(),
+            tiles: Vec::new(),
+            labels: Vec::new(),
         }
     }
 
     /// Registers a core and returns its index. Cores start idle with
     /// their cursor at t = 0.
     pub fn add_core(&mut self, label: String, is_worker: bool) -> usize {
-        self.cores.push(CoreSlot {
-            label,
-            is_worker,
-            cursor: SimTime::ZERO,
+        self.cursors.push(CoreCursor {
+            at: SimTime::ZERO,
+            sub: 0,
             gap: CoreState::Idle,
-            tiles: vec![[0; NUM_STATES]; self.flame_windows],
         });
-        self.cores.len() - 1
+        let rows = self.tiles.len() + self.flame_windows;
+        self.tiles.resize(rows, [0; NUM_STATES]);
+        self.labels.push((label, is_worker));
+        self.labels.len() - 1
     }
 
     /// Number of registered cores.
     pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// Accrues the window-clamped part of `[from, to]` to `state`,
-    /// split exactly across flame sub-windows.
-    fn accrue(&mut self, core: usize, state: CoreState, from: SimTime, to: SimTime) {
-        let a = from.max(self.w_start).as_nanos();
-        let b = to.min(self.w_end).as_nanos();
-        if b <= a {
-            return;
-        }
-        let ws = self.w_start.as_nanos();
-        let win = self.w_end.as_nanos() - ws;
-        let nb = self.flame_windows as u64;
-        let s = state.idx();
-        let tiles = &mut self.cores[core].tiles;
-        // Sub-window k covers [ws + win*k/nb, ws + win*(k+1)/nb).
-        let mut lo = a;
-        let mut k = if win == 0 {
-            0
-        } else {
-            (((a - ws) as u128 * nb as u128 / win as u128) as u64).min(nb - 1)
-        };
-        while lo < b {
-            let hi = if k + 1 >= nb {
-                self.w_end.as_nanos()
-            } else {
-                ws + (win as u128 * (k as u128 + 1) / nb as u128) as u64
-            };
-            let end = b.min(hi);
-            tiles[k as usize][s] += end - lo;
-            lo = end;
-            k += 1;
-        }
+        self.labels.len()
     }
 
     /// Closes the interval `[cursor, until]` as `state` and advances
-    /// the cursor. A stale `until` (behind the cursor) accrues nothing
-    /// and leaves the cursor in place.
+    /// the cursor, accruing the window-clamped part of the interval
+    /// split exactly across flame sub-windows. A stale `until` (behind
+    /// the cursor) accrues nothing and leaves the cursor in place.
     pub fn phase(&mut self, core: usize, state: CoreState, until: SimTime) {
-        let cursor = self.cores[core].cursor;
-        if until <= cursor {
+        let nb = self.flame_windows;
+        let c = &mut self.cursors[core];
+        if until <= c.at {
             return;
         }
-        self.accrue(core, state, cursor, until);
-        self.cores[core].cursor = until;
+        let a = c.at.max(self.w_start).as_nanos();
+        let b = until.min(self.w_end).as_nanos();
+        c.at = until;
+        if b <= a {
+            return;
+        }
+        // The sub-window holding `a`, searched onwards from the last
+        // accrual's.
+        let edges = &self.edges;
+        let mut k = c.sub as usize;
+        while k + 1 < nb && edges[k + 1] <= a {
+            k += 1;
+        }
+        let tiles = &mut self.tiles[core * nb..(core + 1) * nb];
+        let s = state.idx();
+        let mut lo = a;
+        loop {
+            let end = b.min(edges[k + 1]);
+            tiles[k][s] += end - lo;
+            lo = end;
+            if lo == b {
+                break;
+            }
+            k += 1;
+        }
+        c.sub = k as u32;
     }
 
     /// Accrues the open gap `[cursor, now]` to the core's gap state.
     /// Call when the core re-enters execution after idling, parking or
     /// stalling.
     pub fn flush(&mut self, core: usize, now: SimTime) {
-        let gap = self.cores[core].gap;
+        let gap = self.cursors[core].gap;
         self.phase(core, gap, now);
     }
 
     /// Sets the state accrued for the core's current open interval.
     pub fn set_gap(&mut self, core: usize, state: CoreState) {
-        self.cores[core].gap = state;
+        self.cursors[core].gap = state;
     }
 
     /// The core's current gap state.
     pub fn gap(&self, core: usize) -> CoreState {
-        self.cores[core].gap
+        self.cursors[core].gap
     }
 
     /// Closes every core's tail gap at the window end and freezes the
@@ -339,16 +351,17 @@ impl CoreProfiler {
     /// exactly.
     pub fn finish(mut self, queues: Vec<QueueReport>, frame_wait_ns: u64) -> ProfileReport {
         let w_end = self.w_end;
-        for c in 0..self.cores.len() {
+        for c in 0..self.num_cores() {
             self.flush(c, w_end);
         }
         let window = self.w_end.since(self.w_start);
         let cores: Vec<CoreReport> = self
-            .cores
+            .labels
             .into_iter()
-            .map(|slot| {
+            .zip(self.tiles.chunks(self.flame_windows))
+            .map(|((label, is_worker), tiles)| {
                 let mut states = [0u64; NUM_STATES];
-                for tile in &slot.tiles {
+                for tile in tiles {
                     for (acc, v) in states.iter_mut().zip(tile) {
                         *acc += v;
                     }
@@ -356,14 +369,13 @@ impl CoreProfiler {
                 debug_assert_eq!(
                     states.iter().sum::<u64>(),
                     window.as_nanos(),
-                    "core `{}` tiling must sum to the measurement window",
-                    slot.label
+                    "core `{label}` tiling must sum to the measurement window"
                 );
                 CoreReport {
-                    label: slot.label,
-                    is_worker: slot.is_worker,
+                    label,
+                    is_worker,
                     states,
-                    tiles: slot.tiles,
+                    tiles: tiles.to_vec(),
                 }
             })
             .collect();
@@ -837,6 +849,93 @@ mod tests {
         assert_eq!(tiles[0][CoreState::Work.idx()], 3);
         assert_eq!(tiles[1][CoreState::Work.idx()], 3);
         assert_eq!(tiles[2][CoreState::Work.idx()], 4);
+    }
+
+    /// The per-accrual u128 split `CoreProfiler::accrue` did before the
+    /// sub-window edges were precomputed: the differential oracle.
+    fn accrue_u128(
+        (w_start, w_end, nb): (u64, u64, u64),
+        tiles: &mut [[u64; NUM_STATES]],
+        s: usize,
+        from: u64,
+        to: u64,
+    ) {
+        let a = from.max(w_start);
+        let b = to.min(w_end);
+        if b <= a {
+            return;
+        }
+        let ws = w_start;
+        let win = w_end - ws;
+        let mut lo = a;
+        let mut k = if win == 0 {
+            0
+        } else {
+            (((a - ws) as u128 * nb as u128 / win as u128) as u64).min(nb - 1)
+        };
+        while lo < b {
+            let hi = if k + 1 >= nb {
+                w_end
+            } else {
+                ws + (win as u128 * (k as u128 + 1) / nb as u128) as u64
+            };
+            let end = b.min(hi);
+            tiles[k as usize][s] += end - lo;
+            lo = end;
+            k += 1;
+        }
+    }
+
+    #[test]
+    fn precomputed_edges_match_the_u128_split() {
+        let mut rng = crate::Rng::new(11);
+        // (window start, window length, flame sub-windows): even and
+        // uneven splits, an empty window, a single sub-window, windows
+        // shorter than the sub-window count, and a large prime window.
+        let cases = [
+            (1_000, 8_000, 8),
+            (0, 10, 3),
+            (5, 0, 8),
+            (7, 1_000_003, 1),
+            (100, 5, 8),
+            (0, 1_000_000_007, 7),
+            (123, 999, 16),
+        ];
+        for (ws, win, nb) in cases {
+            let cfg = ProfileConfig { flame_windows: nb };
+            let mut p = CoreProfiler::new(t(ws), t(ws + win), &cfg);
+            let cores = [p.add_core("a".into(), true), p.add_core("b".into(), true)];
+            let mut tiles = vec![vec![[0u64; NUM_STATES]; nb]; 2];
+            let mut cursor = [ws.saturating_sub(60); 2];
+            p.phase(cores[0], CoreState::Idle, t(cursor[0]));
+            p.phase(cores[1], CoreState::Idle, t(cursor[1]));
+            for _ in 0..5_000 {
+                let c = rng.gen_range(2) as usize;
+                // End on an edge a third of the time; otherwise a step
+                // that may cross several sub-windows, overrun the
+                // window, or fall behind the cursor.
+                let until = if rng.gen_bool(0.3) {
+                    p.edges[rng.gen_range(nb as u64 + 1) as usize]
+                } else {
+                    (cursor[c] + rng.gen_range(win / 3 + 20)).saturating_sub(5)
+                };
+                let state = CoreState::ALL[rng.gen_range(NUM_STATES as u64) as usize];
+                p.phase(cores[c], state, t(until));
+                if until > cursor[c] {
+                    let span = (ws, ws + win, nb as u64);
+                    accrue_u128(span, &mut tiles[c], state.idx(), cursor[c], until);
+                    cursor[c] = until;
+                }
+            }
+            let rep = p.finish(Vec::new(), 0);
+            for c in 0..2 {
+                // `finish` closes the tail gap as idle; so does the oracle.
+                let span = (ws, ws + win, nb as u64);
+                let idle = CoreState::Idle.idx();
+                accrue_u128(span, &mut tiles[c], idle, cursor[c], ws + win);
+                assert_eq!(rep.cores[c].tiles, tiles[c], "window {ws}+{win} / {nb}");
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! a root `request` span covering arrival→reply, structural children
 //! (`segment` per worker occupancy, `fault` per page fault, `fetch` per
 //! RDMA read with `nic_queue`/`wire` sub-spans), and a gap-free tiling
-//! of *phase* spans ([`stage`]) that partitions the whole end-to-end
+//! of *phase* spans ([`Stage`]) that partitions the whole end-to-end
 //! interval. The tiling is enforced by construction: [`SpanBuilder::phase`]
 //! always extends from the builder's cursor (the end of the previous
 //! phase) to the given instant, so phase durations sum to the
@@ -14,9 +14,12 @@
 //!
 //! The layer is zero-cost when disabled (the runtime holds an
 //! `Option<SpanBuilder>` per request; `None` costs one branch per
-//! site) and arena-backed when on: completed trees return their span
+//! site) and arena-backed when on: completed builders return their
 //! buffers to a pool inside [`SpanStore`], so steady-state recording
-//! does not allocate.
+//! does not allocate. A store that keeps no exemplars never builds a
+//! tree at all: its builders accumulate the ten phase sums and the
+//! fetch/stall intervals of the overlays, which yields the same
+//! [`CriticalPath`] as walking the tree.
 //!
 //! [`SpanStore`] aggregates completed trees three ways:
 //!
@@ -42,31 +45,80 @@ use crate::time::SimTime;
 /// Sentinel parent index meaning "no parent" (only the root uses it).
 pub const NO_PARENT: u32 = u32::MAX;
 
-/// Phase-span names: a gap-free partition of each request's
-/// end-to-end interval. Every nanosecond of a request's latency is
-/// covered by exactly one phase span, so these sum to the root span's
-/// duration by construction.
-pub mod stage {
+/// Number of [`Stage`]s.
+pub const NUM_STAGES: usize = 10;
+
+/// Phases: a gap-free partition of each request's end-to-end
+/// interval. Every nanosecond of a request's latency is covered by
+/// exactly one phase, so the phases sum to the root span's duration by
+/// construction. Exported phase spans are named by [`Stage::name`].
+#[repr(u8)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Stage {
     /// Client↔server network time (request delivery + reply flight).
-    pub const NET: &str = "net";
+    Net,
     /// Dispatcher occupancy before the request is queued to a worker.
-    pub const DISPATCH: &str = "dispatch";
+    Dispatch,
     /// Waiting in a run queue for a worker (initial, resume, or retry).
-    pub const QUEUE: &str = "queue";
+    Queue,
     /// Handler compute on a worker (includes fault-entry kernel cost).
-    pub const HANDLE: &str = "handle";
+    Handle,
     /// Busy-wait polling for a fetch completion (wasted CPU).
-    pub const SPIN: &str = "spin";
+    Spin,
     /// Parked waiting for a fetch completion (worker reused elsewhere).
-    pub const FETCH_WAIT: &str = "fetch_wait";
+    FetchWait,
     /// Blocked on a full QP send queue before the fetch could post.
-    pub const QP_STALL: &str = "qp_stall";
+    QpStall,
     /// Waiting for the reply doorbell/CQE after handler completion.
-    pub const TX_WAIT: &str = "tx_wait";
+    TxWait,
     /// Context-switch cost (park + resume halves).
-    pub const CTX: &str = "ctx";
+    Ctx,
     /// Reply construction and server-side network stack.
-    pub const REPLY: &str = "reply";
+    Reply,
+}
+
+impl Stage {
+    /// Every stage, in canonical (discriminant) order.
+    pub const ALL: [Stage; NUM_STAGES] = [
+        Stage::Net,
+        Stage::Dispatch,
+        Stage::Queue,
+        Stage::Handle,
+        Stage::Spin,
+        Stage::FetchWait,
+        Stage::QpStall,
+        Stage::TxWait,
+        Stage::Ctx,
+        Stage::Reply,
+    ];
+
+    /// The exported span name.
+    pub const fn name(self) -> &'static str {
+        match self {
+            Stage::Net => "net",
+            Stage::Dispatch => "dispatch",
+            Stage::Queue => "queue",
+            Stage::Handle => "handle",
+            Stage::Spin => "spin",
+            Stage::FetchWait => "fetch_wait",
+            Stage::QpStall => "qp_stall",
+            Stage::TxWait => "tx_wait",
+            Stage::Ctx => "ctx",
+            Stage::Reply => "reply",
+        }
+    }
+
+    /// The stage a phase span's name denotes (`None` for structural
+    /// spans).
+    fn of_name(name: &str) -> Option<Stage> {
+        Stage::ALL.into_iter().find(|s| s.name() == name)
+    }
+
+    /// Whether the request is blocked on a fetch during this phase —
+    /// the stall intervals `fetch_hidden_ns` subtracts.
+    fn stalls(self) -> bool {
+        matches!(self, Stage::Spin | Stage::FetchWait)
+    }
 }
 
 /// Structural (non-phase) span names.
@@ -110,7 +162,7 @@ pub fn shard_qp(shard: u64, qp: u64) -> u64 {
 /// One node in a request's span tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
-    /// Span name ([`stage`] or [`node`] constant).
+    /// Span name ([`Stage::name`] or a [`node`] constant).
     pub name: &'static str,
     /// Index of the parent span in the tree, or [`NO_PARENT`].
     pub parent: u32,
@@ -151,52 +203,57 @@ impl SpanTree {
     }
 }
 
-/// Records one in-flight request's span tree.
+/// Records one in-flight request: its full span tree, or — for a store
+/// that retains no exemplars — only what its [`CriticalPath`] needs.
 ///
-/// The builder keeps a *cursor*: the end of the last phase span
-/// emitted. [`SpanBuilder::phase`] tiles `[cursor, until]` with the
-/// named phase and advances the cursor, clamping `until` up to the
-/// cursor so time never runs backward; instants already covered
-/// produce no span. This makes the phase tiling gap-free and
-/// overlap-free regardless of emission-site ordering quirks, which is
-/// what guarantees `Σ phases = e2e` exactly.
+/// The builder keeps a *cursor*: the end of the last phase emitted.
+/// [`SpanBuilder::phase`] tiles `[cursor, until]` with the given stage
+/// and advances the cursor, clamping `until` up to the cursor so time
+/// never runs backward; instants already covered produce nothing. This
+/// makes the phase tiling gap-free and overlap-free regardless of
+/// emission-site ordering quirks, which is what guarantees
+/// `Σ phases = e2e` exactly.
+///
+/// A *tree* builder ([`SpanBuilder::new`]) materialises every span. A
+/// *stats-only* builder (what [`SpanStore::builder`] hands out when the
+/// store keeps no exemplars) materialises none: it keeps the ten phase
+/// sums plus the fetch and stall intervals the `fetch_hidden_ns`
+/// overlay needs, and yields exactly the [`CriticalPath`] the tree
+/// would. Structural calls (segments, faults, failovers) cost it one
+/// branch.
 #[derive(Debug)]
 pub struct SpanBuilder {
     request: u64,
     class: u16,
-    spans: Vec<Span>,
     cursor: SimTime,
+    rec: Recording,
+}
+
+/// What a builder records; the unit a [`SpanStore`] recycles. The
+/// accumulator is boxed so a builder, which every in-flight request
+/// carries, stays small.
+#[derive(Debug)]
+enum Recording {
+    Tree(TreeRec),
+    Stats(Box<PhaseAcc>),
+}
+
+/// A tree builder's spans and open structural spans.
+#[derive(Debug)]
+struct TreeRec {
+    spans: Vec<Span>,
     open_segment: u32,
     open_fault: u32,
 }
 
-impl SpanBuilder {
-    /// Starts a tree for request `request` of `class`, arriving
-    /// (client transmit) at `tx`. `buf` is a recycled span buffer
-    /// (pass `Vec::new()` when not pooling).
-    pub fn new(request: u64, class: u16, tx: SimTime, mut buf: Vec<Span>) -> SpanBuilder {
-        buf.clear();
-        buf.push(Span {
-            name: node::REQUEST,
-            parent: NO_PARENT,
-            start: tx,
-            end: tx,
-            a: class as u64,
-            b: 0,
-        });
-        SpanBuilder {
-            request,
-            class,
-            spans: buf,
-            cursor: tx,
+impl TreeRec {
+    /// A tree recording into `spans` (reset when a builder starts).
+    fn over(spans: Vec<Span>) -> TreeRec {
+        TreeRec {
+            spans,
             open_segment: NO_PARENT,
             open_fault: NO_PARENT,
         }
-    }
-
-    /// The end of the last phase emitted (the tiling frontier).
-    pub fn cursor(&self) -> SimTime {
-        self.cursor
     }
 
     /// Parent for a new phase span: innermost open structural span.
@@ -209,30 +266,103 @@ impl SpanBuilder {
             0
         }
     }
+}
 
-    /// Tiles `[cursor, until]` with phase `name` and advances the
+/// A stats-only builder's running attribution: the phase sums, plus
+/// `(start_ns, end_ns)` of every fetch and of every stall phase
+/// ([`Stage::Spin`], [`Stage::FetchWait`]) for the fetch overlays.
+#[derive(Debug, Default)]
+struct PhaseAcc {
+    tx: SimTime,
+    sums: [u64; NUM_STAGES],
+    fetches: Vec<(u64, u64)>,
+    stalls: Vec<(u64, u64)>,
+}
+
+impl SpanBuilder {
+    /// Starts a tree for request `request` of `class`, arriving
+    /// (client transmit) at `tx`. `buf` is a recycled span buffer
+    /// (pass `Vec::new()` when not pooling).
+    pub fn new(request: u64, class: u16, tx: SimTime, buf: Vec<Span>) -> SpanBuilder {
+        SpanBuilder::start(request, class, tx, Recording::Tree(TreeRec::over(buf)))
+    }
+
+    /// Starts a builder for request `request` of `class`, arriving at
+    /// `tx`, that records into `rec` (a recycled recording, reset
+    /// here).
+    fn start(request: u64, class: u16, tx: SimTime, mut rec: Recording) -> SpanBuilder {
+        match &mut rec {
+            Recording::Tree(t) => {
+                t.spans.clear();
+                t.spans.push(Span {
+                    name: node::REQUEST,
+                    parent: NO_PARENT,
+                    start: tx,
+                    end: tx,
+                    a: class as u64,
+                    b: 0,
+                });
+                t.open_segment = NO_PARENT;
+                t.open_fault = NO_PARENT;
+            }
+            Recording::Stats(acc) => {
+                acc.tx = tx;
+                acc.sums = [0; NUM_STAGES];
+                acc.fetches.clear();
+                acc.stalls.clear();
+            }
+        }
+        SpanBuilder {
+            request,
+            class,
+            cursor: tx,
+            rec,
+        }
+    }
+
+    /// The end of the last phase emitted (the tiling frontier).
+    pub fn cursor(&self) -> SimTime {
+        self.cursor
+    }
+
+    /// Tiles `[cursor, until]` with phase `stage` and advances the
     /// cursor. If `until` is not after the cursor, nothing is emitted.
-    pub fn phase(&mut self, name: &'static str, until: SimTime) {
-        if until <= self.cursor {
+    pub fn phase(&mut self, stage: Stage, until: SimTime) {
+        let from = self.cursor;
+        if until <= from {
             return;
         }
-        let parent = self.phase_parent();
-        self.spans.push(Span {
-            name,
-            parent,
-            start: self.cursor,
-            end: until,
-            a: 0,
-            b: 0,
-        });
+        match &mut self.rec {
+            Recording::Tree(t) => {
+                let parent = t.phase_parent();
+                t.spans.push(Span {
+                    name: stage.name(),
+                    parent,
+                    start: from,
+                    end: until,
+                    a: 0,
+                    b: 0,
+                });
+            }
+            Recording::Stats(acc) => {
+                let (s, e) = (from.as_nanos(), until.as_nanos());
+                acc.sums[stage as usize] += e - s;
+                if stage.stalls() {
+                    acc.stalls.push((s, e));
+                }
+            }
+        }
         self.cursor = until;
     }
 
     /// Opens a worker-occupancy segment at `at` on worker `worker`.
     pub fn begin_segment(&mut self, at: SimTime, worker: usize) {
-        debug_assert_eq!(self.open_segment, NO_PARENT, "segment already open");
-        self.open_segment = self.spans.len() as u32;
-        self.spans.push(Span {
+        let Recording::Tree(t) = &mut self.rec else {
+            return;
+        };
+        debug_assert_eq!(t.open_segment, NO_PARENT, "segment already open");
+        t.open_segment = t.spans.len() as u32;
+        t.spans.push(Span {
             name: node::SEGMENT,
             parent: 0,
             start: at,
@@ -244,10 +374,12 @@ impl SpanBuilder {
 
     /// Closes the open segment at `at` (no-op when none is open).
     pub fn end_segment(&mut self, at: SimTime) {
-        if self.open_segment != NO_PARENT {
-            let s = &mut self.spans[self.open_segment as usize];
-            s.end = at.max(s.start);
-            self.open_segment = NO_PARENT;
+        if let Recording::Tree(t) = &mut self.rec {
+            if t.open_segment != NO_PARENT {
+                let s = &mut t.spans[t.open_segment as usize];
+                s.end = at.max(s.start);
+                t.open_segment = NO_PARENT;
+            }
         }
     }
 
@@ -255,16 +387,19 @@ impl SpanBuilder {
     /// already open (QP-full retry re-enters the fault path), the
     /// existing span is kept.
     pub fn begin_fault(&mut self, at: SimTime, page: u64) {
-        if self.open_fault != NO_PARENT {
+        let Recording::Tree(t) = &mut self.rec else {
+            return;
+        };
+        if t.open_fault != NO_PARENT {
             return;
         }
-        let parent = if self.open_segment != NO_PARENT {
-            self.open_segment
+        let parent = if t.open_segment != NO_PARENT {
+            t.open_segment
         } else {
             0
         };
-        self.open_fault = self.spans.len() as u32;
-        self.spans.push(Span {
+        t.open_fault = t.spans.len() as u32;
+        t.spans.push(Span {
             name: node::FAULT,
             parent,
             start: at,
@@ -276,10 +411,12 @@ impl SpanBuilder {
 
     /// Closes the open fault at `at` (no-op when none is open).
     pub fn end_fault(&mut self, at: SimTime) {
-        if self.open_fault != NO_PARENT {
-            let s = &mut self.spans[self.open_fault as usize];
-            s.end = at.max(s.start);
-            self.open_fault = NO_PARENT;
+        if let Recording::Tree(t) = &mut self.rec {
+            if t.open_fault != NO_PARENT {
+                let s = &mut t.spans[t.open_fault as usize];
+                s.end = at.max(s.start);
+                t.open_fault = NO_PARENT;
+            }
         }
     }
 
@@ -307,11 +444,18 @@ impl SpanBuilder {
         retransmits: u32,
     ) {
         let done = done.max(post);
+        let t = match &mut self.rec {
+            Recording::Tree(t) => t,
+            Recording::Stats(acc) => {
+                acc.fetches.push((post.as_nanos(), done.as_nanos()));
+                return;
+            }
+        };
         let issued = issued.clamp(post, done);
         let wire_start = wire_start.clamp(issued, done);
-        let parent = self.phase_parent();
-        let fetch_idx = self.spans.len() as u32;
-        self.spans.push(Span {
+        let parent = t.phase_parent();
+        let fetch_idx = t.spans.len() as u32;
+        t.spans.push(Span {
             name: node::FETCH,
             parent,
             start: post,
@@ -319,7 +463,7 @@ impl SpanBuilder {
             a: page,
             b: qp,
         });
-        self.spans.push(Span {
+        t.spans.push(Span {
             name: node::NIC_QUEUE,
             parent: fetch_idx,
             start: post,
@@ -328,7 +472,7 @@ impl SpanBuilder {
             b: qp,
         });
         if retransmits > 0 && wire_start > issued {
-            self.spans.push(Span {
+            t.spans.push(Span {
                 name: node::RETRANS,
                 parent: fetch_idx,
                 start: issued,
@@ -337,7 +481,7 @@ impl SpanBuilder {
                 b: qp,
             });
         }
-        self.spans.push(Span {
+        t.spans.push(Span {
             name: node::WIRE,
             parent: fetch_idx,
             start: wire_start,
@@ -351,38 +495,73 @@ impl SpanBuilder {
     /// up on a fetch attempt and re-issued it targeting `replica`
     /// (`attempt` counts issues of this fetch, starting at 1).
     pub fn failover(&mut self, at: SimTime, replica: u64, attempt: u64) {
-        let parent = self.phase_parent();
-        self.spans.push(Span {
-            name: node::FAILOVER,
-            parent,
-            start: at,
-            end: at,
-            a: replica,
-            b: attempt,
-        });
+        if let Recording::Tree(t) = &mut self.rec {
+            let parent = t.phase_parent();
+            t.spans.push(Span {
+                name: node::FAILOVER,
+                parent,
+                start: at,
+                end: at,
+                a: replica,
+                b: attempt,
+            });
+        }
     }
 
     /// Completes the tree: the reply reached the client at `rx`. The
     /// caller must have tiled phases up to `rx`; any still-open
     /// segment or fault is closed defensively.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a stats-only builder, which has no tree (complete
+    /// those through [`SpanStore::complete`]).
     pub fn finish(mut self, rx: SimTime) -> SpanTree {
         debug_assert_eq!(self.cursor, rx, "phase tiling must reach the reply instant");
         self.end_fault(rx);
         self.end_segment(rx);
-        let root = &mut self.spans[0];
+        let Recording::Tree(TreeRec { mut spans, .. }) = self.rec else {
+            panic!("a stats-only span builder has no tree");
+        };
+        let root = &mut spans[0];
         root.end = rx.max(root.start);
         SpanTree {
             request: self.request,
             class: self.class,
-            spans: self.spans,
+            spans,
         }
     }
+}
 
-    /// Abandons the tree (dropped request), returning the span buffer
-    /// for recycling.
-    pub fn into_buf(self) -> Vec<Span> {
-        self.spans
+impl PhaseAcc {
+    /// The attribution of the request, completed at `rx`.
+    fn critical_path(&self, rx: SimTime) -> CriticalPath {
+        let e2e_ns = rx.max(self.tx).as_nanos() - self.tx.as_nanos();
+        let (wall, hidden) =
+            fetch_overlay(self.fetches.iter().copied(), self.stalls.iter().copied());
+        CriticalPath::from_parts(e2e_ns, &self.sums, wall, hidden)
     }
+}
+
+/// Summed wall time of `fetches` and the part of it not covered by
+/// `stalls` (intervals as `(start_ns, end_ns)`; stalls are phase spans,
+/// so they never overlap one another).
+fn fetch_overlay<F, S>(fetches: F, stalls: S) -> (u64, u64)
+where
+    F: Iterator<Item = (u64, u64)>,
+    S: Iterator<Item = (u64, u64)> + Clone,
+{
+    let (mut wall, mut hidden) = (0, 0);
+    for (fs, fe) in fetches {
+        let d = fe - fs;
+        let stalled: u64 = stalls
+            .clone()
+            .map(|(bs, be)| be.min(fe).saturating_sub(bs.max(fs)))
+            .sum();
+        wall += d;
+        hidden += d - stalled.min(d);
+    }
+    (wall, hidden)
 }
 
 /// Exact attribution of one request's end-to-end latency.
@@ -399,25 +578,25 @@ impl SpanBuilder {
 pub struct CriticalPath {
     /// End-to-end latency (root span), ns.
     pub e2e_ns: u64,
-    /// [`stage::NET`] total, ns.
+    /// [`Stage::Net`] total, ns.
     pub net_ns: u64,
-    /// [`stage::DISPATCH`] total, ns.
+    /// [`Stage::Dispatch`] total, ns.
     pub dispatch_ns: u64,
-    /// [`stage::QUEUE`] total, ns.
+    /// [`Stage::Queue`] total, ns.
     pub queue_ns: u64,
-    /// [`stage::HANDLE`] total, ns.
+    /// [`Stage::Handle`] total, ns.
     pub handle_ns: u64,
-    /// [`stage::SPIN`] total, ns.
+    /// [`Stage::Spin`] total, ns.
     pub spin_ns: u64,
-    /// [`stage::FETCH_WAIT`] total, ns.
+    /// [`Stage::FetchWait`] total, ns.
     pub fetch_wait_ns: u64,
-    /// [`stage::QP_STALL`] total, ns.
+    /// [`Stage::QpStall`] total, ns.
     pub qp_stall_ns: u64,
-    /// [`stage::TX_WAIT`] total, ns.
+    /// [`Stage::TxWait`] total, ns.
     pub tx_wait_ns: u64,
-    /// [`stage::CTX`] total, ns.
+    /// [`Stage::Ctx`] total, ns.
     pub ctx_ns: u64,
-    /// [`stage::REPLY`] total, ns.
+    /// [`Stage::Reply`] total, ns.
     pub reply_ns: u64,
     /// Overlay: summed wall time of all `fetch` spans, ns.
     pub fetch_wall_ns: u64,
@@ -427,63 +606,63 @@ pub struct CriticalPath {
 }
 
 impl CriticalPath {
-    /// Computes the attribution for one completed tree.
+    /// Computes the attribution for one completed tree (allocation
+    /// free).
     pub fn of(tree: &SpanTree) -> CriticalPath {
-        let mut cp = CriticalPath {
-            e2e_ns: tree.e2e_ns(),
-            ..CriticalPath::default()
-        };
-        // Stall intervals: the request is blocked on a fetch.
-        let mut stalls: Vec<(u64, u64)> = Vec::new();
-        let mut fetches: Vec<(u64, u64)> = Vec::new();
+        let mut sums = [0u64; NUM_STAGES];
         for s in &tree.spans {
-            let d = s.dur_ns();
-            match s.name {
-                stage::NET => cp.net_ns += d,
-                stage::DISPATCH => cp.dispatch_ns += d,
-                stage::QUEUE => cp.queue_ns += d,
-                stage::HANDLE => cp.handle_ns += d,
-                stage::SPIN => {
-                    cp.spin_ns += d;
-                    stalls.push((s.start.as_nanos(), s.end.as_nanos()));
-                }
-                stage::FETCH_WAIT => {
-                    cp.fetch_wait_ns += d;
-                    stalls.push((s.start.as_nanos(), s.end.as_nanos()));
-                }
-                stage::QP_STALL => cp.qp_stall_ns += d,
-                stage::TX_WAIT => cp.tx_wait_ns += d,
-                stage::CTX => cp.ctx_ns += d,
-                stage::REPLY => cp.reply_ns += d,
-                node::FETCH => fetches.push((s.start.as_nanos(), s.end.as_nanos())),
-                _ => {}
+            if let Some(st) = Stage::of_name(s.name) {
+                sums[st as usize] += s.dur_ns();
             }
         }
-        for &(fs, fe) in &fetches {
-            cp.fetch_wall_ns += fe - fs;
-            let stalled: u64 = stalls
-                .iter()
-                .map(|&(bs, be)| be.min(fe).saturating_sub(bs.max(fs)))
-                .sum();
-            cp.fetch_hidden_ns += (fe - fs).saturating_sub(stalled.min(fe - fs));
+        let interval = |s: &Span| (s.start.as_nanos(), s.end.as_nanos());
+        let fetches = tree.spans.iter().filter(|s| s.name == node::FETCH);
+        let stalls = tree
+            .spans
+            .iter()
+            .filter(|s| Stage::of_name(s.name).is_some_and(Stage::stalls));
+        let (wall, hidden) = fetch_overlay(fetches.map(interval), stalls.map(interval));
+        CriticalPath::from_parts(tree.e2e_ns(), &sums, wall, hidden)
+    }
+
+    fn from_parts(
+        e2e_ns: u64,
+        sums: &[u64; NUM_STAGES],
+        fetch_wall_ns: u64,
+        fetch_hidden_ns: u64,
+    ) -> CriticalPath {
+        let ns = |s: Stage| sums[s as usize];
+        CriticalPath {
+            e2e_ns,
+            net_ns: ns(Stage::Net),
+            dispatch_ns: ns(Stage::Dispatch),
+            queue_ns: ns(Stage::Queue),
+            handle_ns: ns(Stage::Handle),
+            spin_ns: ns(Stage::Spin),
+            fetch_wait_ns: ns(Stage::FetchWait),
+            qp_stall_ns: ns(Stage::QpStall),
+            tx_wait_ns: ns(Stage::TxWait),
+            ctx_ns: ns(Stage::Ctx),
+            reply_ns: ns(Stage::Reply),
+            fetch_wall_ns,
+            fetch_hidden_ns,
         }
-        cp
     }
 
     /// The ten phase components as `(stage name, ns)` pairs, in
     /// canonical order.
-    pub fn components(&self) -> [(&'static str, u64); 10] {
+    pub fn components(&self) -> [(&'static str, u64); NUM_STAGES] {
         [
-            (stage::NET, self.net_ns),
-            (stage::DISPATCH, self.dispatch_ns),
-            (stage::QUEUE, self.queue_ns),
-            (stage::HANDLE, self.handle_ns),
-            (stage::SPIN, self.spin_ns),
-            (stage::FETCH_WAIT, self.fetch_wait_ns),
-            (stage::QP_STALL, self.qp_stall_ns),
-            (stage::TX_WAIT, self.tx_wait_ns),
-            (stage::CTX, self.ctx_ns),
-            (stage::REPLY, self.reply_ns),
+            (Stage::Net.name(), self.net_ns),
+            (Stage::Dispatch.name(), self.dispatch_ns),
+            (Stage::Queue.name(), self.queue_ns),
+            (Stage::Handle.name(), self.handle_ns),
+            (Stage::Spin.name(), self.spin_ns),
+            (Stage::FetchWait.name(), self.fetch_wait_ns),
+            (Stage::QpStall.name(), self.qp_stall_ns),
+            (Stage::TxWait.name(), self.tx_wait_ns),
+            (Stage::Ctx.name(), self.ctx_ns),
+            (Stage::Reply.name(), self.reply_ns),
         ]
     }
 
@@ -498,16 +677,16 @@ impl CriticalPath {
 /// phase components, then the two fetch overlays.
 pub const STAGES: [&str; 13] = [
     "e2e",
-    stage::NET,
-    stage::DISPATCH,
-    stage::QUEUE,
-    stage::HANDLE,
-    stage::SPIN,
-    stage::FETCH_WAIT,
-    stage::QP_STALL,
-    stage::TX_WAIT,
-    stage::CTX,
-    stage::REPLY,
+    Stage::Net.name(),
+    Stage::Dispatch.name(),
+    Stage::Queue.name(),
+    Stage::Handle.name(),
+    Stage::Spin.name(),
+    Stage::FetchWait.name(),
+    Stage::QpStall.name(),
+    Stage::TxWait.name(),
+    Stage::Ctx.name(),
+    Stage::Reply.name(),
     "fetch_wall",
     "fetch_hidden",
 ];
@@ -636,8 +815,9 @@ impl SpanConfig {
     }
 }
 
-/// Maximum recycled span buffers kept by a store.
-const POOL_CAP: usize = 256;
+/// Maximum recycled buffers (span trees or accumulators) kept by a
+/// store; completions beyond it free their buffers instead.
+pub const POOL_CAP: usize = 256;
 
 /// Owns everything the span layer aggregates during a run.
 #[derive(Debug)]
@@ -647,7 +827,9 @@ pub struct SpanStore {
     e2e: Histogram,
     attributions: Vec<CriticalPath>,
     exemplars: Vec<SpanTree>,
-    pool: Vec<Vec<Span>>,
+    /// Recycled recordings: span trees when the store keeps
+    /// exemplars, accumulators otherwise.
+    pool: Vec<Recording>,
     next_request: u64,
     measured: u64,
 }
@@ -668,28 +850,34 @@ impl SpanStore {
     }
 
     /// Starts a builder for the next request (sequence numbers are
-    /// assigned in arrival order, so same-seed runs agree).
+    /// assigned in arrival order, so same-seed runs agree). The builder
+    /// records a tree only when the store may retain it as an exemplar.
     pub fn builder(&mut self, class: u16, tx: SimTime) -> SpanBuilder {
         let request = self.next_request;
         self.next_request += 1;
-        let buf = self.pool.pop().unwrap_or_default();
-        SpanBuilder::new(request, class, tx, buf)
+        let rec = self.pool.pop().unwrap_or_else(|| {
+            if self.cfg.exemplar_percentile.is_some() && self.cfg.max_exemplars > 0 {
+                Recording::Tree(TreeRec::over(Vec::new()))
+            } else {
+                Recording::Stats(Box::default())
+            }
+        });
+        SpanBuilder::start(request, class, tx, rec)
     }
 
-    /// Reclaims an abandoned builder's buffer (dropped request).
+    /// Reclaims an abandoned builder's buffers (dropped request).
     pub fn discard(&mut self, b: SpanBuilder) {
-        self.recycle_buf(b.into_buf());
+        self.recycle(b.rec);
     }
 
-    fn recycle_buf(&mut self, mut buf: Vec<Span>) {
+    fn recycle(&mut self, rec: Recording) {
         if self.pool.len() < POOL_CAP {
-            buf.clear();
-            self.pool.push(buf);
+            self.pool.push(rec);
         }
     }
 
-    fn recycle(&mut self, tree: SpanTree) {
-        self.recycle_buf(tree.spans);
+    fn recycle_spans(&mut self, spans: Vec<Span>) {
+        self.recycle(Recording::Tree(TreeRec::over(spans)));
     }
 
     /// Completes a request at reply-receipt instant `rx` and returns
@@ -697,48 +885,59 @@ impl SpanStore {
     /// exemplars) only when `in_window` — warm-up and drain-phase
     /// completions still produce an attribution but leave no trace.
     pub fn complete(&mut self, b: SpanBuilder, rx: SimTime, in_window: bool) -> CriticalPath {
-        let tree = b.finish(rx);
-        let cp = CriticalPath::of(&tree);
-        if !in_window {
-            self.recycle(tree);
-            return cp;
-        }
-        self.measured += 1;
-        self.stats.record(&cp);
-        self.e2e.record(cp.e2e_ns);
-        if self.cfg.keep_attributions {
-            self.attributions.push(cp);
-        }
-        match self.cfg.exemplar_percentile {
-            Some(p) if self.cfg.max_exemplars > 0 => {
-                // Online threshold over the measured e2e distribution:
-                // a tree qualifies while it sits at/above the p-th
-                // percentile seen so far.
-                if cp.e2e_ns >= self.e2e.percentile(p) {
-                    if self.exemplars.len() < self.cfg.max_exemplars {
-                        self.exemplars.push(tree);
-                    } else {
-                        let (mi, min_e2e) = self
-                            .exemplars
-                            .iter()
-                            .enumerate()
-                            .map(|(i, t)| (i, t.e2e_ns()))
-                            .min_by_key(|&(_, e)| e)
-                            .expect("max_exemplars > 0");
-                        if cp.e2e_ns > min_e2e {
-                            let old = std::mem::replace(&mut self.exemplars[mi], tree);
-                            self.recycle(old);
-                        } else {
-                            self.recycle(tree);
-                        }
-                    }
-                } else {
-                    self.recycle(tree);
-                }
+        let (cp, tree) = match b.rec {
+            Recording::Stats(acc) => {
+                debug_assert_eq!(b.cursor, rx, "phase tiling must reach the reply instant");
+                let cp = acc.critical_path(rx);
+                self.recycle(Recording::Stats(acc));
+                (cp, None)
             }
-            _ => self.recycle(tree),
+            Recording::Tree(_) => {
+                let tree = b.finish(rx);
+                (CriticalPath::of(&tree), Some(tree))
+            }
+        };
+        if in_window {
+            self.measured += 1;
+            self.stats.record(&cp);
+            if self.cfg.keep_attributions {
+                self.attributions.push(cp);
+            }
+        }
+        if let Some(tree) = tree {
+            match self.cfg.exemplar_percentile {
+                Some(p) if in_window && self.cfg.max_exemplars > 0 => self.offer_exemplar(tree, p),
+                _ => self.recycle_spans(tree.spans),
+            }
         }
         cp
+    }
+
+    /// Retains `tree` while it sits at or above the `p`-th percentile
+    /// of the measured end-to-end distribution seen so far (the online
+    /// threshold), evicting the fastest retained exemplar when full.
+    fn offer_exemplar(&mut self, tree: SpanTree, p: f64) {
+        let e2e = tree.e2e_ns();
+        self.e2e.record(e2e);
+        if e2e < self.e2e.percentile(p) {
+            self.recycle_spans(tree.spans);
+        } else if self.exemplars.len() < self.cfg.max_exemplars {
+            self.exemplars.push(tree);
+        } else {
+            let (mi, min_e2e) = self
+                .exemplars
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (i, t.e2e_ns()))
+                .min_by_key(|&(_, e)| e)
+                .expect("max_exemplars > 0");
+            let evicted = if e2e > min_e2e {
+                std::mem::replace(&mut self.exemplars[mi], tree)
+            } else {
+                tree
+            };
+            self.recycle_spans(evicted.spans);
+        }
     }
 
     /// Freezes the store into the report carried on `RunResult`.
@@ -943,21 +1142,21 @@ mod tests {
     /// fault(handle, spin), handle)→reply→tx_wait→net.
     fn sample_tree(request: u64) -> SpanTree {
         let mut b = SpanBuilder::new(request, 1, t(0), Vec::new());
-        b.phase(stage::NET, t(100));
-        b.phase(stage::DISPATCH, t(150));
-        b.phase(stage::QUEUE, t(200));
+        b.phase(Stage::Net, t(100));
+        b.phase(Stage::Dispatch, t(150));
+        b.phase(Stage::Queue, t(200));
         b.begin_segment(t(200), 3);
-        b.phase(stage::HANDLE, t(500));
+        b.phase(Stage::Handle, t(500));
         b.begin_fault(t(500), 42);
-        b.phase(stage::HANDLE, t(600));
+        b.phase(Stage::Handle, t(600));
         b.fetch(t(600), t(620), t(900), 42, 7);
-        b.phase(stage::SPIN, t(900));
+        b.phase(Stage::Spin, t(900));
         b.end_fault(t(900));
-        b.phase(stage::HANDLE, t(1_100));
-        b.phase(stage::REPLY, t(1_200));
+        b.phase(Stage::Handle, t(1_100));
+        b.phase(Stage::Reply, t(1_200));
         b.end_segment(t(1_200));
-        b.phase(stage::TX_WAIT, t(1_250));
-        b.phase(stage::NET, t(1_400));
+        b.phase(Stage::TxWait, t(1_250));
+        b.phase(Stage::Net, t(1_400));
         b.finish(t(1_400))
     }
 
@@ -975,12 +1174,12 @@ mod tests {
     #[test]
     fn phase_clamps_backward_time_and_skips_empty() {
         let mut b = SpanBuilder::new(0, 0, t(1_000), Vec::new());
-        b.phase(stage::NET, t(1_100));
+        b.phase(Stage::Net, t(1_100));
         // An earlier instant (worker clock behind the cursor) emits
         // nothing and does not move the cursor back.
-        b.phase(stage::QUEUE, t(1_050));
+        b.phase(Stage::Queue, t(1_050));
         assert_eq!(b.cursor(), t(1_100));
-        b.phase(stage::QUEUE, t(1_100));
+        b.phase(Stage::Queue, t(1_100));
         let tree = b.finish(t(1_100));
         assert_eq!(tree.spans.len(), 2); // root + net
         assert_eq!(CriticalPath::of(&tree).components_sum(), tree.e2e_ns());
@@ -994,8 +1193,8 @@ mod tests {
         // Fetch [0, 400]; the request only stalls on it for [300, 400]
         // (100 ns); the first 300 ns are hidden under handler compute.
         b.fetch(t(0), t(40), t(400), 9, 0);
-        b.phase(stage::HANDLE, t(300));
-        b.phase(stage::SPIN, t(400));
+        b.phase(Stage::Handle, t(300));
+        b.phase(Stage::Spin, t(400));
         b.end_fault(t(400));
         b.end_segment(t(400));
         let tree = b.finish(t(400));
@@ -1011,7 +1210,7 @@ mod tests {
         let mut b = SpanBuilder::new(0, 0, t(0), Vec::new());
         b.begin_fault(t(0), 1);
         b.fetch(t(0), t(10), t(200), 1, 0);
-        b.phase(stage::FETCH_WAIT, t(200));
+        b.phase(Stage::FetchWait, t(200));
         b.end_fault(t(200));
         let tree = b.finish(t(200));
         let cp = CriticalPath::of(&tree);
@@ -1051,7 +1250,11 @@ mod tests {
         assert_eq!(nq.parent as usize, fetch);
         assert_eq!(nq.dur_ns() + wire.dur_ns(), tree.spans[fetch].dur_ns());
         // The spin after the fetch is a child of the fault.
-        let spin = tree.spans.iter().find(|s| s.name == stage::SPIN).unwrap();
+        let spin = tree
+            .spans
+            .iter()
+            .find(|s| s.name == Stage::Spin.name())
+            .unwrap();
         assert_eq!(spin.parent as usize, fault);
     }
 
@@ -1059,11 +1262,11 @@ mod tests {
     fn retransmitted_fetch_gets_a_retrans_child() {
         let mut b = SpanBuilder::new(0, 0, t(0), Vec::new());
         b.begin_fault(t(0), 9);
-        b.phase(stage::HANDLE, t(50));
+        b.phase(Stage::Handle, t(50));
         b.fetch_with_retrans(t(50), t(70), t(16_070), t(18_000), 9, 2, 1);
         b.failover(t(18_000), 1, 2);
         b.fetch_with_retrans(t(18_000), t(18_020), t(18_020), t(20_000), 9, 3, 0);
-        b.phase(stage::SPIN, t(20_000));
+        b.phase(Stage::Spin, t(20_000));
         b.end_fault(t(20_000));
         let tree = b.finish(t(20_000));
 
@@ -1104,13 +1307,117 @@ mod tests {
         assert!(json.contains("\"name\":\"failover\""));
     }
 
+    /// `CriticalPath::of` as it was before it stopped allocating: the
+    /// reference both the tree walk and the accumulator must match.
+    fn reference_of(tree: &SpanTree) -> CriticalPath {
+        let mut sums = [0u64; NUM_STAGES];
+        let mut stalls: Vec<(u64, u64)> = Vec::new();
+        let mut fetches: Vec<(u64, u64)> = Vec::new();
+        for s in &tree.spans {
+            let iv = (s.start.as_nanos(), s.end.as_nanos());
+            match Stage::ALL.iter().find(|st| st.name() == s.name) {
+                Some(&st) => {
+                    sums[st as usize] += s.dur_ns();
+                    if st == Stage::Spin || st == Stage::FetchWait {
+                        stalls.push(iv);
+                    }
+                }
+                None if s.name == node::FETCH => fetches.push(iv),
+                None => {}
+            }
+        }
+        let mut wall = 0;
+        let mut hidden = 0;
+        for &(fs, fe) in &fetches {
+            wall += fe - fs;
+            let stalled: u64 = stalls
+                .iter()
+                .map(|&(bs, be)| be.min(fe).saturating_sub(bs.max(fs)))
+                .sum();
+            hidden += (fe - fs).saturating_sub(stalled.min(fe - fs));
+        }
+        CriticalPath::from_parts(tree.e2e_ns(), &sums, wall, hidden)
+    }
+
+    #[test]
+    fn accumulator_matches_the_tree_walk_on_random_requests() {
+        let mut rng = crate::Rng::new(7);
+        let mut store = SpanStore::new(SpanConfig::stats_only());
+        let mut spans_total = 0;
+        for req in 0..3_000u64 {
+            let tx = t(rng.gen_range(1_000));
+            let mut tree = SpanBuilder::new(req, 0, tx, Vec::new());
+            let mut acc = store.builder(0, tx);
+            let (mut seg, mut now) = (false, tx.as_nanos());
+            for _ in 0..rng.gen_range(40) {
+                let at = t(now);
+                let page = rng.gen_range(64);
+                // Both builders see the same call.
+                let mut call = |f: &dyn Fn(&mut SpanBuilder)| {
+                    f(&mut tree);
+                    f(&mut acc);
+                };
+                match rng.gen_range(9) {
+                    0..=3 => {
+                        let stage = Stage::ALL[rng.gen_range(NUM_STAGES as u64) as usize];
+                        // Occasionally behind the cursor: emits nothing.
+                        let until = (now + rng.gen_range(400)).saturating_sub(50);
+                        call(&|b| b.phase(stage, t(until)));
+                        now = now.max(until);
+                    }
+                    4 if !seg => {
+                        seg = true;
+                        call(&|b| b.begin_segment(at, 1));
+                    }
+                    4 => {
+                        seg = false;
+                        call(&|b| b.end_segment(at));
+                    }
+                    5 => call(&|b| b.begin_fault(at, page)),
+                    6 => call(&|b| b.end_fault(at)),
+                    7 => {
+                        // Fetches may start before the cursor, finish
+                        // after it, be retransmitted, or come inverted.
+                        let post = (now + rng.gen_range(300)).saturating_sub(150);
+                        let issued = post + rng.gen_range(100);
+                        let wire = issued + rng.gen_range(2_000);
+                        let done = (wire + rng.gen_range(3_000)).saturating_sub(200);
+                        let retrans = rng.gen_range(3) as u32;
+                        call(&|b| {
+                            b.fetch_with_retrans(
+                                t(post),
+                                t(issued),
+                                t(wire),
+                                t(done),
+                                page,
+                                2,
+                                retrans,
+                            )
+                        });
+                    }
+                    _ => call(&|b| b.failover(at, 1, 2)),
+                }
+            }
+            let rx = t(now + rng.gen_range(500));
+            tree.phase(Stage::Net, rx);
+            acc.phase(Stage::Net, rx);
+            let tree = tree.finish(rx);
+            spans_total += tree.spans.len();
+            let walked = CriticalPath::of(&tree);
+            assert_eq!(walked, reference_of(&tree), "request {req}");
+            assert_eq!(store.complete(acc, rx, true), walked, "request {req}");
+            assert_eq!(walked.components_sum(), walked.e2e_ns);
+        }
+        assert!(spans_total > 30_000, "sequences exercise the builder");
+    }
+
     #[test]
     fn stage_stats_percentiles_monotone() {
         let mut stats = StageStats::new();
         for i in 0..500u64 {
             let mut b = SpanBuilder::new(i, 0, t(0), Vec::new());
-            b.phase(stage::QUEUE, t(10 + i % 97));
-            b.phase(stage::HANDLE, t(200 + 13 * (i % 31)));
+            b.phase(Stage::Queue, t(10 + i % 97));
+            b.phase(Stage::Handle, t(200 + 13 * (i % 31)));
             let tree = b.finish(t(200 + 13 * (i % 31)));
             stats.record(&CriticalPath::of(&tree));
         }
@@ -1125,10 +1432,10 @@ mod tests {
     fn store_counts_only_measured_window() {
         let mut store = SpanStore::new(SpanConfig::default());
         let mut b = store.builder(0, t(0));
-        b.phase(stage::HANDLE, t(100));
+        b.phase(Stage::Handle, t(100));
         store.complete(b, t(100), false); // warm-up
         let mut b = store.builder(0, t(200));
-        b.phase(stage::HANDLE, t(450));
+        b.phase(Stage::Handle, t(450));
         let cp = store.complete(b, t(450), true);
         assert_eq!(cp.e2e_ns, 250);
         let report = store.finish();
@@ -1142,7 +1449,7 @@ mod tests {
         let mut store = SpanStore::new(SpanConfig::with_exemplars(0.0, 4));
         for i in 1..=100u64 {
             let mut b = store.builder(0, t(0));
-            b.phase(stage::HANDLE, t(i * 10));
+            b.phase(Stage::Handle, t(i * 10));
             store.complete(b, t(i * 10), true);
         }
         let report = store.finish();
@@ -1166,12 +1473,12 @@ mod tests {
         // should be retained.
         for i in 0..1_000u64 {
             let mut b = store.builder(0, t(0));
-            b.phase(stage::HANDLE, t(100 + i % 7));
+            b.phase(Stage::Handle, t(100 + i % 7));
             store.complete(b, t(100 + i % 7), true);
         }
         for _ in 0..5 {
             let mut b = store.builder(0, t(0));
-            b.phase(stage::HANDLE, t(10_000));
+            b.phase(Stage::Handle, t(10_000));
             store.complete(b, t(10_000), true);
         }
         let report = store.finish();
@@ -1186,16 +1493,32 @@ mod tests {
 
     #[test]
     fn store_recycles_buffers() {
+        let kinds = |store: &SpanStore| -> Vec<bool> {
+            let tree = |r: &Recording| matches!(r, Recording::Tree(_));
+            store.pool.iter().map(tree).collect()
+        };
+        // Stats-only stores pool accumulators and never build a tree.
         let mut store = SpanStore::new(SpanConfig::stats_only());
         for _ in 0..10 {
             let mut b = store.builder(0, t(0));
-            b.phase(stage::HANDLE, t(50));
+            b.phase(Stage::Handle, t(50));
             store.complete(b, t(50), true);
         }
-        assert!(!store.pool.is_empty() && store.pool.len() <= 10);
+        assert_eq!(kinds(&store), [false], "one buffer serves serial requests");
         let b = store.builder(0, t(0));
         store.discard(b);
-        assert!(!store.pool.is_empty());
+        assert_eq!(kinds(&store), [false]);
+
+        // Exemplar stores pool span trees.
+        let mut store = SpanStore::new(SpanConfig::with_exemplars(99.0, 1));
+        for i in 0..10 {
+            let mut b = store.builder(0, t(0));
+            b.phase(Stage::Handle, t(50 - i));
+            store.complete(b, t(50 - i), true);
+        }
+        let pooled = kinds(&store);
+        assert!(!pooled.is_empty() && pooled.len() <= 10);
+        assert!(pooled.iter().all(|&tree| tree));
     }
 
     #[test]
@@ -1232,7 +1555,7 @@ mod tests {
     #[should_panic(expected = "phase tiling must reach the reply instant")]
     fn finish_requires_complete_tiling() {
         let mut b = SpanBuilder::new(0, 0, t(0), Vec::new());
-        b.phase(stage::NET, t(50));
+        b.phase(Stage::Net, t(50));
         let _ = b.finish(t(100));
     }
 }

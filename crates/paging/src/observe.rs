@@ -16,14 +16,18 @@
 //! - **Page heat** — a SpaceSaving top-K heavy-hitter sketch with
 //!   exponential per-window decay (`w ← w · d^Δwindows`), plus a
 //!   bucketed address-range histogram absorbing the weight of pages
-//!   displaced from the sketch, so memory stays `O(K + buckets)`
-//!   regardless of footprint.
+//!   displaced from the sketch. The sketch's minimum slot sits at the
+//!   root of an indexed min-heap, so a touch costs `O(log K)`.
 //! - **Working set & heatmap** — per-window distinct-page counts and a
 //!   `page-bucket × time-window → touches` matrix, both capped at
 //!   [`MemObsConfig::max_windows`] rows with explicit drop accounting
 //!   ([`MemObservatory::dropped`]) instead of silent truncation.
 //! - **Shard heat shares** — decayed per-shard touch weights exposing
 //!   placement skew (`max/mean` ratio) as a time series.
+//!
+//! Per-page state (last window touched, sketch slot) lives in one dense
+//! 8-byte record per page of the footprint, allocated at construction,
+//! so a touch does no hashing.
 //!
 //! Everything here is deterministic: iteration happens over vectors or
 //! sorted snapshots, hashing uses the seed-free Fx tables, and floats
@@ -117,7 +121,54 @@ struct PfRec {
 
 struct HeatSlot {
     page: u64,
-    weight: f64,
+    /// Index of this slot's entry in the sketch's min-heap, which
+    /// holds the slot's weight.
+    heap_pos: u32,
+}
+
+/// A sketch min-heap entry: a slot's weight bits above its slot index.
+/// Weights are finite and non-negative, whose IEEE-754 bit patterns
+/// order like their values, so integer order is `(weight, slot index)`
+/// order — the slot a linear scan for the first minimum weight picks
+/// sorts first — and one integer compare decides it without a branch.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct HeapKey(u128);
+
+impl HeapKey {
+    #[inline]
+    fn new(weight: f64, slot: u32) -> HeapKey {
+        debug_assert!(weight >= 0.0 && weight.is_finite());
+        HeapKey(u128::from(weight.to_bits()) << 32 | u128::from(slot))
+    }
+
+    #[inline]
+    fn weight(self) -> f64 {
+        f64::from_bits((self.0 >> 32) as u64)
+    }
+
+    #[inline]
+    fn slot(self) -> u32 {
+        self.0 as u32
+    }
+}
+
+/// [`PageRec::slot`] of a page the sketch does not track.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Dense per-page observatory state.
+#[derive(Clone, Copy)]
+struct PageRec {
+    /// Last window the page was touched in, plus one (0 = never).
+    seen: u32,
+    /// Heat-sketch slot tracking the page, or [`NO_SLOT`].
+    slot: u32,
+}
+
+impl PageRec {
+    const UNSEEN: PageRec = PageRec {
+        seen: 0,
+        slot: NO_SLOT,
+    };
 }
 
 /// One closed observation window.
@@ -142,13 +193,16 @@ pub struct MemObservatory {
     // Prefetch-fate attribution.
     pf: FxHashMap<u64, PfRec>,
     fates: [FateCounters; 3],
-    // Heat sketch (SpaceSaving) + displaced-weight histogram.
+    // Heat sketch (SpaceSaving) + displaced-weight histogram. `heap`
+    // is a min-heap over the slots' weights.
     slots: Vec<HeatSlot>,
-    slot_of: FxHashMap<u64, usize>,
+    heap: Vec<HeapKey>,
     rest_hist: Vec<f64>,
+    // Per-page records, indexed by page.
+    pages: Vec<PageRec>,
+    distinct: u64,
     // Windows.
     cur_window: u64,
-    last_seen: FxHashMap<u64, u64>,
     ws_cur: u64,
     hm_cur: Vec<u64>,
     shard_cur: Vec<u64>,
@@ -175,6 +229,7 @@ impl MemObservatory {
     pub fn new(cfg: MemObsConfig, total_pages: u64, shards: usize) -> MemObservatory {
         assert!(cfg.heat_window_ns > 0, "zero-width heat window");
         assert!(cfg.heatmap_buckets > 0 && cfg.top_k > 0, "empty sketch");
+        assert!(cfg.top_k < NO_SLOT as usize, "sketch too large");
         assert!(
             cfg.heat_decay > 0.0 && cfg.heat_decay <= 1.0,
             "decay outside (0, 1]"
@@ -185,10 +240,11 @@ impl MemObservatory {
             pf: FxHashMap::default(),
             fates: [FateCounters::default(); 3],
             slots: Vec::with_capacity(cfg.top_k),
-            slot_of: FxHashMap::default(),
+            heap: Vec::with_capacity(cfg.top_k),
             rest_hist: vec![0.0; cfg.heatmap_buckets],
+            pages: vec![PageRec::UNSEEN; total_pages.max(1) as usize],
+            distinct: 0,
             cur_window: 0,
-            last_seen: FxHashMap::default(),
             ws_cur: 0,
             hm_cur: vec![0; cfg.heatmap_buckets],
             shard_cur: vec![0; shards.max(1)],
@@ -240,9 +296,12 @@ impl MemObservatory {
             }
         }
         let age_all = d.powi(gap as i32);
-        for s in &mut self.slots {
-            s.weight *= age_all;
+        for k in &mut self.heap {
+            *k = HeapKey::new(k.weight() * age_all, k.slot());
         }
+        // Scaling can round distinct weights together (or to zero), so
+        // the heap order is rebuilt rather than assumed.
+        self.rebuild_heap();
         for r in &mut self.rest_hist {
             *r *= age_all;
         }
@@ -275,39 +334,48 @@ impl MemObservatory {
             self.roll_to(w);
         }
         self.touches += 1;
+        let stamp = u32::try_from(w + 1).expect("heat window index overflows u32");
+        if page >= self.pages.len() as u64 {
+            // Beyond the footprint: grow the table rather than alias.
+            self.pages.resize(page as usize + 1, PageRec::UNSEEN);
+        }
+        let rec = &mut self.pages[page as usize];
         // Heat sketch: bump a tracked slot, fill a free one, or
-        // displace the minimum-weight slot (ties broken by slot index,
-        // which is deterministic).
-        if let Some(&i) = self.slot_of.get(&page) {
-            self.slots[i].weight += 1.0;
+        // displace the minimum-weight slot (ties broken by the lowest
+        // slot index, which is deterministic).
+        let slot = rec.slot;
+        let seen = std::mem::replace(&mut rec.seen, stamp);
+        if slot != NO_SLOT {
+            let at = self.slots[slot as usize].heap_pos as usize;
+            self.heap[at] = HeapKey::new(self.heap[at].weight() + 1.0, slot);
+            self.sift_down(at);
         } else if self.slots.len() < self.cfg.top_k {
-            self.slot_of.insert(page, self.slots.len());
-            self.slots.push(HeatSlot { page, weight: 1.0 });
+            let i = self.slots.len() as u32;
+            rec.slot = i;
+            self.slots.push(HeatSlot { page, heap_pos: i });
+            self.heap.push(HeapKey::new(1.0, i));
+            self.sift_up(i as usize);
         } else {
-            let mut min_i = 0;
-            for (i, s) in self.slots.iter().enumerate() {
-                if s.weight < self.slots[min_i].weight {
-                    min_i = i;
-                }
-            }
-            let old = &self.slots[min_i];
-            let b = self.bucket(old.page);
-            self.rest_hist[b] += old.weight;
-            self.slot_of.remove(&old.page);
-            let w0 = old.weight;
-            self.slot_of.insert(page, min_i);
-            self.slots[min_i] = HeatSlot {
-                page,
-                weight: w0 + 1.0,
-            };
+            let min = self.heap[0];
+            rec.slot = min.slot();
+            let old_page = std::mem::replace(&mut self.slots[min.slot() as usize].page, page);
+            self.heap[0] = HeapKey::new(min.weight() + 1.0, min.slot());
+            self.sift_down(0);
+            self.pages[old_page as usize].slot = NO_SLOT;
+            let b = self.bucket(old_page);
+            self.rest_hist[b] += min.weight();
         }
         let b = self.bucket(page);
         self.hm_cur[b] += 1;
         if let Some(c) = self.shard_cur.get_mut(shard) {
             *c += 1;
         }
-        let seen = self.last_seen.insert(page, w);
-        if seen != Some(w) && seen.is_none_or(|s| s < w) {
+        if seen == 0 {
+            self.distinct += 1;
+        }
+        // Touches can be stamped behind the current window; a page
+        // already seen in a later window is not counted again.
+        if seen < stamp {
             self.ws_cur += 1;
         }
         if let Some(d) = delta {
@@ -320,6 +388,55 @@ impl MemObservatory {
             }
         }
         rolled
+    }
+
+    #[inline]
+    fn heap_set(&mut self, at: usize, key: HeapKey) {
+        self.heap[at] = key;
+        self.slots[key.slot() as usize].heap_pos = at as u32;
+    }
+
+    fn sift_up(&mut self, mut at: usize) {
+        let key = self.heap[at];
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            if key > self.heap[parent] {
+                break;
+            }
+            self.heap_set(at, self.heap[parent]);
+            at = parent;
+        }
+        self.heap_set(at, key);
+    }
+
+    fn sift_down(&mut self, mut at: usize) {
+        let key = self.heap[at];
+        let n = self.heap.len();
+        loop {
+            let l = 2 * at + 1;
+            if l >= n {
+                break;
+            }
+            let r = l + 1;
+            let c = if r < n {
+                l + usize::from(self.heap[r] < self.heap[l])
+            } else {
+                l
+            };
+            if key < self.heap[c] {
+                break;
+            }
+            self.heap_set(at, self.heap[c]);
+            at = c;
+        }
+        self.heap_set(at, key);
+    }
+
+    /// Re-establishes the heap order after every weight changed.
+    fn rebuild_heap(&mut self) {
+        for at in (0..self.heap.len() / 2).rev() {
+            self.sift_down(at);
+        }
     }
 
     /// Records a prefetch issuance. When the record table is full the
@@ -452,7 +569,11 @@ impl MemObservatory {
                 f.inflight_at_end += 1;
             }
         }
-        let mut heat_top: Vec<(u64, f64)> = self.slots.iter().map(|s| (s.page, s.weight)).collect();
+        let mut heat_top: Vec<(u64, f64)> = self
+            .heap
+            .iter()
+            .map(|k| (self.slots[k.slot() as usize].page, k.weight()))
+            .collect();
         heat_top.sort_unstable_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -465,7 +586,7 @@ impl MemObservatory {
             heatmap_buckets: self.cfg.heatmap_buckets,
             total_pages: self.total_pages,
             touches: self.touches,
-            distinct_pages: self.last_seen.len() as u64,
+            distinct_pages: self.distinct,
             classes: self.fates,
             heat_top,
             rest_hist: self.rest_hist,
@@ -851,6 +972,145 @@ mod tests {
         assert!(a.to_json().contains("\"conserved\":true"));
         for ev in a.perfetto_counter_events(3_000_000).iter().skip(1) {
             assert!(ev.contains("\"ph\":\"C\""), "{ev}");
+        }
+    }
+
+    /// The linear-scan SpaceSaving sketch and hash-map working-set
+    /// tracking the observatory used before its dense page records and
+    /// indexed heap: the differential oracle for [`MemObservatory`].
+    struct ScanOracle {
+        window_ns: u64,
+        decay: f64,
+        top_k: usize,
+        cur_window: u64,
+        slots: Vec<(u64, f64)>,
+        slot_of: FxHashMap<u64, usize>,
+        rest_hist: Vec<f64>,
+        last_seen: FxHashMap<u64, u64>,
+        ws_cur: u64,
+    }
+
+    impl ScanOracle {
+        fn new(cfg: &MemObsConfig) -> ScanOracle {
+            ScanOracle {
+                window_ns: cfg.heat_window_ns,
+                decay: cfg.heat_decay,
+                top_k: cfg.top_k,
+                cur_window: 0,
+                slots: Vec::new(),
+                slot_of: FxHashMap::default(),
+                rest_hist: vec![0.0; cfg.heatmap_buckets],
+                last_seen: FxHashMap::default(),
+                ws_cur: 0,
+            }
+        }
+
+        fn touch(&mut self, o: &MemObservatory, page: u64, now_ns: u64) {
+            let w = now_ns / self.window_ns;
+            if w > self.cur_window {
+                let age_all = self.decay.powi((w - self.cur_window) as i32);
+                for s in &mut self.slots {
+                    s.1 *= age_all;
+                }
+                for r in &mut self.rest_hist {
+                    *r *= age_all;
+                }
+                self.ws_cur = 0;
+                self.cur_window = w;
+            }
+            if let Some(&i) = self.slot_of.get(&page) {
+                self.slots[i].1 += 1.0;
+            } else if self.slots.len() < self.top_k {
+                self.slot_of.insert(page, self.slots.len());
+                self.slots.push((page, 1.0));
+            } else {
+                let mut min_i = 0;
+                for (i, s) in self.slots.iter().enumerate() {
+                    if s.1 < self.slots[min_i].1 {
+                        min_i = i;
+                    }
+                }
+                let (old, w0) = self.slots[min_i];
+                self.rest_hist[o.bucket(old)] += w0;
+                self.slot_of.remove(&old);
+                self.slot_of.insert(page, min_i);
+                self.slots[min_i] = (page, w0 + 1.0);
+            }
+            let seen = self.last_seen.insert(page, w);
+            if seen != Some(w) && seen.is_none_or(|s| s < w) {
+                self.ws_cur += 1;
+            }
+        }
+    }
+
+    fn assert_matches_oracle(o: &MemObservatory, r: &ScanOracle, step: usize) {
+        let got: Vec<(u64, u64)> = o
+            .slots
+            .iter()
+            .map(|s| (s.page, o.heap[s.heap_pos as usize].weight().to_bits()))
+            .collect();
+        let want: Vec<(u64, u64)> = r.slots.iter().map(|s| (s.0, s.1.to_bits())).collect();
+        assert_eq!(got, want, "sketch slots diverge at step {step}");
+        let bits = |h: &[f64]| h.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&o.rest_hist),
+            bits(&r.rest_hist),
+            "rest at step {step}"
+        );
+        assert_eq!(o.ws_cur, r.ws_cur, "working set at step {step}");
+        assert_eq!(
+            o.distinct,
+            r.last_seen.len() as u64,
+            "distinct at step {step}"
+        );
+        for (at, &key) in o.heap.iter().enumerate() {
+            assert_eq!(
+                o.slots[key.slot() as usize].heap_pos as usize,
+                at,
+                "heap index"
+            );
+            if at > 0 {
+                assert!(key > o.heap[(at - 1) / 2], "heap order");
+            }
+        }
+    }
+
+    #[test]
+    fn heap_sketch_matches_the_linear_scan() {
+        let mut rng = desim::Rng::new(42);
+        for decay in [0.5, 0.7, 0.9] {
+            for top_k in [1, 3, 8, 64] {
+                let cfg = MemObsConfig {
+                    heat_window_ns: 1_000,
+                    top_k,
+                    heat_decay: decay,
+                    heatmap_buckets: 16,
+                    ..MemObsConfig::default()
+                };
+                let mut o = MemObservatory::new(cfg, 4_096, 2);
+                let mut r = ScanOracle::new(&cfg);
+                let mut now = 0u64;
+                for step in 0..4_000 {
+                    // Mostly short steps inside a window, some multi-
+                    // window gaps (decay underflows weights into ties),
+                    // and a few touches stamped behind the current one.
+                    now = match rng.gen_range(100) {
+                        0..=79 => now + rng.gen_range(60),
+                        80..=94 => now + rng.gen_range(5_000),
+                        95..=97 => now + 1_000 * (20 + rng.gen_range(1_200)),
+                        _ => now.saturating_sub(rng.gen_range(2_000)),
+                    };
+                    // A small hot set (weight ties) plus a long tail.
+                    let page = if rng.gen_bool(0.6) {
+                        rng.gen_range(2 * top_k as u64 + 1)
+                    } else {
+                        rng.gen_range(4_096)
+                    };
+                    o.on_touch(page, (page % 2) as usize, now, None);
+                    r.touch(&o, page, now);
+                    assert_matches_oracle(&o, &r, step);
+                }
+            }
         }
     }
 

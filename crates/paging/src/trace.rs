@@ -110,6 +110,17 @@ impl TraceRecorder {
         }
     }
 
+    /// Creates a recorder that records into `steps`, a recycled step
+    /// buffer (cleared first), so recording into a warm buffer does
+    /// not allocate. Pair with [`TraceRecorder::finish_into`].
+    pub fn with_steps(cost: CostModel, mut steps: Vec<Step>) -> TraceRecorder {
+        steps.clear();
+        TraceRecorder {
+            steps,
+            ..TraceRecorder::new(cost)
+        }
+    }
+
     /// Adds pure compute time.
     #[inline]
     pub fn compute_ns(&mut self, ns: f64) {
@@ -176,6 +187,24 @@ impl TraceRecorder {
             request_bytes,
             reply_bytes,
         }
+    }
+
+    /// Like [`TraceRecorder::finish`], but writes the trace into `out`,
+    /// handing it the recorder's step buffer.
+    pub fn finish_into(
+        mut self,
+        class: u16,
+        request_bytes: u32,
+        reply_bytes: u32,
+        out: &mut Trace,
+    ) {
+        if self.pending_ns > 0.0 {
+            self.flush_step(None);
+        }
+        out.class = class;
+        out.steps = self.steps;
+        out.request_bytes = request_bytes;
+        out.reply_bytes = reply_bytes;
     }
 }
 
@@ -266,6 +295,43 @@ mod tests {
         r.touch(3, false); // outside window by then? window = 4, still in
         let t = r.finish(0, 0, 0);
         assert_eq!(t.distinct_pages(), 3);
+    }
+
+    #[test]
+    fn recycled_buffer_records_the_same_trace() {
+        let record = |r: &mut TraceRecorder| {
+            r.compute_ns(12.5);
+            r.touch(3, false);
+            r.touch_range(8_000, 9_000, true);
+            r.compute_ns(7.0);
+        };
+        let mut fresh = TraceRecorder::default();
+        record(&mut fresh);
+        let want = fresh.finish(2, 64, 100);
+
+        let mut out = Trace {
+            class: 9,
+            steps: vec![
+                Step {
+                    compute_ns: 1,
+                    access: None,
+                };
+                32
+            ],
+            request_bytes: 1,
+            reply_bytes: 1,
+        };
+        let buf = std::mem::take(&mut out.steps);
+        let cap = buf.capacity();
+        let mut warm = TraceRecorder::with_steps(CostModel::default(), buf);
+        record(&mut warm);
+        warm.finish_into(2, 64, 100, &mut out);
+        assert_eq!(out.steps, want.steps);
+        assert_eq!(out.steps.capacity(), cap, "the buffer is reused");
+        assert_eq!(
+            (out.class, out.request_bytes, out.reply_bytes),
+            (2, 64, 100)
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::rc::Rc;
 use desim::profile::{
     queue_names, CoreProfiler, CoreState, ProfileConfig, ProfileReport, QueueProbe,
 };
-use desim::span::{stage, SpanBuilder, SpanConfig, SpanReport, SpanStore};
+use desim::span::{SpanBuilder, SpanConfig, SpanReport, SpanStore, Stage};
 use desim::telemetry::{
     EpisodeNote, FlightRecorder, HealthInput, TelemetryConfig, TelemetryReport,
 };
@@ -710,6 +710,9 @@ struct TelemBridge {
     /// (the effective RTO gauge always carries the armed value, fixed
     /// ladder included).
     rto_ids: Vec<(GaugeId, GaugeId, GaugeId)>,
+    /// Health inputs of one tick, one row per registered entity; the
+    /// buffer is reused across ticks.
+    health: Vec<HealthInput>,
 }
 
 /// Per-request prefetch-pattern detector.
@@ -1306,6 +1309,7 @@ impl<'w> Simulation<'w> {
             }
             let tick_s = rec.tick_period().as_secs_f64();
             TelemBridge {
+                health: Vec::with_capacity(cfg.workers + shards + tenants),
                 tenant_per_tick: (0..tenants)
                     .map(|t| tenplane.as_ref().expect("tenants > 0").specs[t].rate_rps * tick_s)
                     .collect(),
@@ -2073,12 +2077,12 @@ impl<'w> Simulation<'w> {
         };
         let qp_depth = self.cfg.fabric.qp_depth as f64;
         let shards = self.cfg.shards();
-        let mut health = Vec::with_capacity(self.workers.len() + shards);
+        b.health.clear();
         for (w, worker) in self.workers.iter().enumerate() {
             let outstanding: u32 = self.nics.iter().map(|n| n.outstanding(worker.qp)).sum();
             let d = b.qp_tally[w].since(&b.qp_prev[w]);
             b.qp_prev[w] = b.qp_tally[w];
-            health.push(HealthInput {
+            b.health.push(HealthInput {
                 outstanding: outstanding as f64,
                 // A worker QP exists on every shard rail, so its slots
                 // scale with the shard count.
@@ -2097,7 +2101,7 @@ impl<'w> Simulation<'w> {
         for s in 0..shards {
             let d = b.shard_tally[s].since(&b.shard_prev[s]);
             b.shard_prev[s] = b.shard_tally[s];
-            health.push(HealthInput {
+            b.health.push(HealthInput {
                 outstanding: self.nics[s].total_outstanding() as f64,
                 capacity: qp_depth * (self.cfg.workers + 2) as f64,
                 error_chains: d.errors as f64,
@@ -2115,7 +2119,7 @@ impl<'w> Simulation<'w> {
         for t in 0..b.tenant_tally.len() {
             let d = b.tenant_tally[t].since(&b.tenant_prev[t]);
             b.tenant_prev[t] = b.tenant_tally[t];
-            health.push(HealthInput {
+            b.health.push(HealthInput {
                 outstanding: d.fetches as f64,
                 capacity: b.tenant_per_tick[t].max(1.0),
                 error_chains: d.errors as f64,
@@ -2141,7 +2145,7 @@ impl<'w> Simulation<'w> {
             self.metrics.gauge_set(rttvar_id, now, rttvar);
             self.metrics.gauge_set(rto_id, now, rto);
         }
-        b.rec.tick(now, &self.metrics, &health, &mut *self.tracer);
+        b.rec.tick(now, &self.metrics, &b.health, &mut *self.tracer);
         let next = now + b.rec.tick_period();
         if next <= self.measure_end {
             self.events.push(next, Ev::TelemetryTick);
@@ -2499,7 +2503,7 @@ impl<'w> Simulation<'w> {
         self.trace(now, "dispatch", "arrival", req as u64, depth as u64);
         // Request flight + RX path: tx_time → delivery.
         if let Some(sb) = self.sb(req) {
-            sb.phase(stage::NET, now);
+            sb.phase(Stage::Net, now);
         }
         // Tenant-plane ingress: book the arrival, then run admission
         // (token bucket + low-priority shed watermark). All of this is
@@ -2603,7 +2607,7 @@ impl<'w> Simulation<'w> {
         self.q_dingress(slot, now, false);
         // Dispatcher admission work: delivery → admit.
         if let Some(sb) = self.sb(req) {
-            sb.phase(stage::DISPATCH, now);
+            sb.phase(Stage::Dispatch, now);
         }
         self.q_ingress(now, true);
         let (tenant, tx) = {
@@ -2768,7 +2772,7 @@ impl<'w> Simulation<'w> {
                     if let Some(sb) = r.spans.as_mut() {
                         // Time spent queued (admit → start, or preempt
                         // → restart), then a new execution segment.
-                        sb.phase(stage::QUEUE, now);
+                        sb.phase(Stage::Queue, now);
                         sb.begin_segment(now, w);
                     }
                     if first {
@@ -2780,9 +2784,9 @@ impl<'w> Simulation<'w> {
                             t += ctx + cq;
                         }
                         if let Some(sb) = r.spans.as_mut() {
-                            sb.phase(stage::HANDLE, now + setup);
+                            sb.phase(Stage::Handle, now + setup);
                             if is_yield {
-                                sb.phase(stage::CTX, now + setup + ctx + cq);
+                                sb.phase(Stage::Ctx, now + setup + ctx + cq);
                             }
                         }
                     }
@@ -2805,12 +2809,12 @@ impl<'w> Simulation<'w> {
                     if let Some(sb) = r.spans.as_mut() {
                         // Fetch wall time is the fault's wait; runnable
                         // time past completion is queueing.
-                        sb.phase(stage::FETCH_WAIT, fetch_done);
-                        sb.phase(stage::QUEUE, now);
+                        sb.phase(Stage::FetchWait, fetch_done);
+                        sb.phase(Stage::Queue, now);
                         sb.end_fault(now);
                         sb.begin_segment(now, w);
-                        sb.phase(stage::HANDLE, now + map);
-                        sb.phase(stage::CTX, now + map + ctx);
+                        sb.phase(Stage::Handle, now + map);
+                        sb.phase(Stage::Ctx, now + map + ctx);
                     }
                 }
                 self.wprof_phase(w, CoreState::Work, now + map);
@@ -2828,9 +2832,9 @@ impl<'w> Simulation<'w> {
                 if let Some(sb) = self.sb(req) {
                     // Spin residue (wake can trail the CQE), then the
                     // fault closes with the page map.
-                    sb.phase(stage::SPIN, now);
+                    sb.phase(Stage::Spin, now);
                     sb.end_fault(now + map);
-                    sb.phase(stage::HANDLE, now + map);
+                    sb.phase(Stage::Handle, now + map);
                 }
                 self.wprof_phase(w, CoreState::Work, now + map);
                 t += map;
@@ -2840,7 +2844,7 @@ impl<'w> Simulation<'w> {
                 // Waiting for a frame ended at `now`; the open fault
                 // span is kept — the retry continues the same fault.
                 if let Some(sb) = self.sb(req) {
-                    sb.phase(stage::QUEUE, now);
+                    sb.phase(Stage::Queue, now);
                 }
                 // Re-enter the fault for the current step's page.
                 self.execute(w, req, now);
@@ -2894,8 +2898,8 @@ impl<'w> Simulation<'w> {
                 self.trace(t, "worker", "preempt", w as u64, req as u64);
                 let cost = self.cfg.preempt_cost;
                 if let Some(sb) = self.sb(req) {
-                    sb.phase(stage::HANDLE, t);
-                    sb.phase(stage::CTX, t + cost);
+                    sb.phase(Stage::Handle, t);
+                    sb.phase(Stage::Ctx, t + cost);
                     sb.end_segment(t + cost);
                 }
                 t += cost;
@@ -2918,8 +2922,8 @@ impl<'w> Simulation<'w> {
                     // work: flush the compute so far, attribute the
                     // stall to queueing.
                     if let Some(sb) = self.sb(req) {
-                        sb.phase(stage::HANDLE, t + compute);
-                        sb.phase(stage::QUEUE, t + compute + stall);
+                        sb.phase(Stage::Handle, t + compute);
+                        sb.phase(Stage::Queue, t + compute + stall);
                     }
                     compute += stall;
                 }
@@ -2994,8 +2998,8 @@ impl<'w> Simulation<'w> {
                         let r = self.req(req);
                         r.worker = w;
                         if let Some(sb) = r.spans.as_mut() {
-                            sb.phase(stage::HANDLE, t);
-                            sb.phase(stage::CTX, t + ctx);
+                            sb.phase(Stage::Handle, t);
+                            sb.phase(Stage::Ctx, t + ctx);
                             sb.end_segment(t + ctx);
                         }
                     }
@@ -3011,8 +3015,8 @@ impl<'w> Simulation<'w> {
                 FaultPolicy::BusyWait | FaultPolicy::BusyWaitPreempt => {
                     let spin = done_at.saturating_since(t);
                     if let Some(sb) = self.sb(req) {
-                        sb.phase(stage::HANDLE, t);
-                        sb.phase(stage::SPIN, done_at.max(t));
+                        sb.phase(Stage::Handle, t);
+                        sb.phase(Stage::Spin, done_at.max(t));
                     }
                     self.wprof_phase(w, CoreState::Spin, done_at.max(t));
                     self.metrics.add(self.ids.spin_ns, spin.as_nanos());
@@ -3048,8 +3052,8 @@ impl<'w> Simulation<'w> {
                         // Coalesced wait: no fault span of our own (the
                         // fetch belongs to another request) — park and
                         // wait for its completion.
-                        sb.phase(stage::HANDLE, t);
-                        sb.phase(stage::CTX, t + ctx);
+                        sb.phase(Stage::Handle, t);
+                        sb.phase(Stage::Ctx, t + ctx);
                         sb.end_segment(t + ctx);
                     }
                 }
@@ -3066,8 +3070,8 @@ impl<'w> Simulation<'w> {
             FaultPolicy::BusyWait | FaultPolicy::BusyWaitPreempt => {
                 let spin = done_at.since(t);
                 if let Some(sb) = self.sb(req) {
-                    sb.phase(stage::HANDLE, t);
-                    sb.phase(stage::SPIN, done_at);
+                    sb.phase(Stage::Handle, t);
+                    sb.phase(Stage::Spin, done_at);
                 }
                 self.wprof_phase(w, CoreState::Spin, done_at);
                 self.metrics.add(self.ids.spin_ns, spin.as_nanos());
@@ -3092,7 +3096,7 @@ impl<'w> Simulation<'w> {
         // Flush compute up to the faulting access and open the fault
         // span (re-entrant: a retry continues the fault it opened).
         if let Some(sb) = self.sb(req) {
-            sb.phase(stage::HANDLE, t);
+            sb.phase(Stage::Handle, t);
             sb.begin_fault(t, page);
         }
         // Fault-handler entry (+ kernel crossing on Hermit).
@@ -3121,7 +3125,7 @@ impl<'w> Simulation<'w> {
                 None => {
                     // Every frame is in flight: wait briefly and retry.
                     if let Some(sb) = self.sb(req) {
-                        sb.phase(stage::HANDLE, t);
+                        sb.phase(Stage::Handle, t);
                     }
                     // The wait tiles as `FetchWait`; the legacy spin
                     // counter never booked frame waits, so they are
@@ -3175,7 +3179,7 @@ impl<'w> Simulation<'w> {
                 // (see on_fetch_done); flush the handler work now. The
                 // stall tiles as `FetchWait`, closed by the retry wake.
                 if let Some(sb) = self.sb(req) {
-                    sb.phase(stage::HANDLE, t);
+                    sb.phase(Stage::Handle, t);
                 }
                 self.wprof_phase(w, CoreState::Work, t);
                 self.wprof_gap(w, CoreState::FetchWait);
@@ -3218,8 +3222,8 @@ impl<'w> Simulation<'w> {
                     let r = self.req(req);
                     r.worker = w;
                     if let Some(sb) = r.spans.as_mut() {
-                        sb.phase(stage::HANDLE, t);
-                        sb.phase(stage::CTX, t + ctx);
+                        sb.phase(Stage::Handle, t);
+                        sb.phase(Stage::Ctx, t + ctx);
                         sb.end_segment(t + ctx);
                     }
                 }
@@ -3238,8 +3242,8 @@ impl<'w> Simulation<'w> {
                 // baselines from Adios under faults.
                 let spin = outcome.done_at.saturating_since(t);
                 if let Some(sb) = self.sb(req) {
-                    sb.phase(stage::HANDLE, t);
-                    sb.phase(stage::SPIN, outcome.done_at.max(t));
+                    sb.phase(Stage::Handle, t);
+                    sb.phase(Stage::Spin, outcome.done_at.max(t));
                 }
                 self.wprof_phase(w, CoreState::Spin, outcome.done_at.max(t));
                 self.metrics.add(self.ids.spin_ns, spin.as_nanos());
@@ -3602,7 +3606,7 @@ impl<'w> Simulation<'w> {
         if let Some((req, since)) = self.workers[w].blocked.take() {
             let spin = now.saturating_since(since);
             if let Some(sb) = self.sb(req) {
-                sb.phase(stage::QP_STALL, now);
+                sb.phase(Stage::QpStall, now);
             }
             self.metrics.add(self.ids.spin_ns, spin.as_nanos());
             self.trace(now, "worker", "spin", w as u64, spin.as_nanos());
@@ -3740,8 +3744,8 @@ impl<'w> Simulation<'w> {
         if let Some(sb) = self.sb(req) {
             // Flush compute since the last blocking point, then the
             // reply serialisation.
-            sb.phase(stage::HANDLE, t);
-            sb.phase(stage::REPLY, t + build);
+            sb.phase(Stage::Handle, t);
+            sb.phase(Stage::Reply, t + build);
         }
         t += build;
         self.wprof_phase(w, CoreState::Work, t);
@@ -3749,7 +3753,7 @@ impl<'w> Simulation<'w> {
             // Switch from the unithread back to the worker.
             let ctx = self.cfg.ctx_switch;
             if let Some(sb) = self.sb(req) {
-                sb.phase(stage::CTX, t + ctx);
+                sb.phase(Stage::Ctx, t + ctx);
             }
             t += ctx;
             self.wprof_phase(w, CoreState::CtxSwitch, t);
@@ -3775,7 +3779,7 @@ impl<'w> Simulation<'w> {
             // this request's latency, so the span is clamped to it.
             let spin = tx.cqe_at.saturating_since(t);
             if let Some(sb) = self.sb(req) {
-                sb.phase(stage::TX_WAIT, tx.cqe_at.min(tx.client_rx_at));
+                sb.phase(Stage::TxWait, tx.cqe_at.min(tx.client_rx_at));
             }
             self.wprof_phase(w, CoreState::TxWait, tx.cqe_at.max(t));
             self.metrics.add(self.ids.spin_ns, spin.as_nanos());
@@ -3799,7 +3803,7 @@ impl<'w> Simulation<'w> {
             (Some(store), Some(mut sb)) => {
                 let rx = rx.max(sb.cursor());
                 sb.end_segment(t.min(rx));
-                sb.phase(stage::NET, rx);
+                sb.phase(Stage::Net, rx);
                 let in_window = rx >= self.warmup_end && rx < self.measure_end;
                 let b = Breakdown::from_critical_path(&store.complete(sb, rx, in_window));
                 (rx, b)

@@ -563,3 +563,52 @@ fn memory_observatory_bitwise_reproducible() {
     let c = run_one(SystemConfig::adios(), &mut w4, p2);
     assert_ne!(ma.to_json(), c.memory.as_ref().unwrap().to_json());
 }
+
+#[test]
+fn all_layers_rocksdb_run_matches_its_anchor() {
+    // Every observability layer on at once (stats-only spans through
+    // `keep_breakdowns`, trace ring, telemetry, profiler, memory
+    // observatory) under steady 2 % loss, so retransmits and failovers
+    // reach every hook. The run JSON carries each layer's output and the
+    // breakdown rows carry the span layer's per-request attribution; both
+    // are pinned byte for byte. Captured before the layers' hot paths were
+    // optimised; refresh via `cargo run --release --example golden_capture
+    // -- --all-layers` only when an intentional format change lands.
+    let p = RunParams {
+        offered_rps: 700_000.0,
+        seed: 3,
+        warmup: SimDuration::from_millis(2),
+        measure: SimDuration::from_millis(10),
+        keep_breakdowns: true,
+        trace_capacity: Some(64 * 1024),
+        telemetry: Some(TelemetryConfig::default()),
+        profile: Some(adios::desim::ProfileConfig::default()),
+        memory: Some(MemObsConfig::default()),
+        faults: Some(FaultScenario::with_loss(0.02)),
+        ..Default::default()
+    };
+    let mut w = RocksDbWorkload::new(20_000, 1024);
+    let mut res = run_one(SystemConfig::adios(), &mut w, p);
+    let run = adios::core_api::run_json(&res);
+    for block in [
+        "\"stages\":",
+        "\"telemetry\":",
+        "\"profile\":",
+        "\"memory\":",
+    ] {
+        assert!(run.contains(block), "run JSON lacks {block}");
+    }
+    let rows: String = [50.0, 99.0, 99.9]
+        .map(|q| format!("{:?}\n", res.recorder.breakdown_at(q)))
+        .concat();
+    assert_eq!(
+        (run.len(), fnv1a(run.as_bytes())),
+        (3_748_410, 0x0d84_6f32_f0d2_b0fb),
+        "all-layers run JSON drifted"
+    );
+    assert_eq!(
+        (rows.len(), fnv1a(rows.as_bytes())),
+        (706, 0x9c15_c6af_d1b5_a185),
+        "all-layers breakdown rows drifted"
+    );
+}
