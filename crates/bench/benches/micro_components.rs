@@ -119,8 +119,6 @@ fn bench_simulation_throughput() {
                 measure: desim::SimDuration::from_millis(4),
                 local_mem_fraction: 0.2,
                 keep_breakdowns: false,
-                burst: None,
-                timeline_bucket: None,
                 ..Default::default()
             },
         );

@@ -15,6 +15,7 @@ use apps::ordb::CLASS_SCAN;
 use apps::{MemcachedWorkload, RocksDbWorkload};
 use paging::reclaim::ReclaimerMode;
 use paging::EvictionPolicy;
+use runtime::sim::RunResult;
 use runtime::{ArrayIndexWorkload, QueueModel, SystemConfig};
 
 use super::{fmt_us, fmt_x, peak_rps, sweep};
@@ -52,19 +53,20 @@ pub fn reclaimer(scale: Scale) -> FigureReport {
         "allocation stalls at high fetch rates",
         "   offered   proactive: direct-reclaims / p999(us)   wake-up: direct-reclaims / p999(us)",
     );
+    let direct_reclaims = |r: &RunResult| r.metrics.counter("direct_reclaims").unwrap_or(0);
     for (p, w) in pro.iter().zip(&wake) {
         s.rows.push(format!(
             "{:>10.0} {:>24} / {:>9.2} {:>24} / {:>9.2}",
             p.offered_rps,
-            p.stats.direct_reclaims,
+            direct_reclaims(p),
             p.point().p999_ns as f64 / 1000.0,
-            w.stats.direct_reclaims,
+            direct_reclaims(w),
             w.point().p999_ns as f64 / 1000.0,
         ));
     }
     report.series.push(s);
-    let pro_dr: u64 = pro.iter().map(|r| r.stats.direct_reclaims).sum();
-    let wake_dr: u64 = wake.iter().map(|r| r.stats.direct_reclaims).sum();
+    let pro_dr: u64 = pro.iter().map(direct_reclaims).sum();
+    let wake_dr: u64 = wake.iter().map(direct_reclaims).sum();
     report.expectations.push(Expectation::checked(
         "proactive reclaim keeps allocation off the fault path",
         "no out-of-memory pauses (§3.3)",
@@ -162,7 +164,7 @@ pub fn prefetch(scale: Scale) -> FigureReport {
             a.offered_rps,
             a.recorder.class(CLASS_SCAN).percentile(50.0) as f64 / 1000.0,
             b.recorder.class(CLASS_SCAN).percentile(50.0) as f64 / 1000.0,
-            a.stats.prefetches,
+            a.metrics.counter("prefetches").unwrap_or(0),
         ));
     }
     report.series.push(s);
@@ -310,14 +312,15 @@ pub fn write_mix(scale: Scale) -> FigureReport {
             102,
         );
         let r = &res[1];
-        utils.push((set_frac, r.rdma_ctrl_util, r.stats.writebacks));
+        let writebacks = r.metrics.counter("writebacks").unwrap_or(0);
+        utils.push((set_frac, r.rdma_ctrl_util, writebacks));
         rows.push(format!(
             "  {:>4.0}% {:>12.0} {:>12.1}% {:>12.1}% {:>12}",
             set_frac * 100.0,
             r.recorder.achieved_rps(),
             r.rdma_data_util * 100.0,
             r.rdma_ctrl_util * 100.0,
-            r.stats.writebacks,
+            writebacks,
         ));
     }
     let mut s = Series::new(

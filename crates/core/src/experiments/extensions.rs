@@ -32,7 +32,8 @@
 //!   queue stops scaling.
 
 use desim::SimDuration;
-use runtime::sim::{RunParams, Simulation};
+use loadgen::{TenantPlane, TenantPriority, TenantSpec};
+use runtime::sim::{RunParams, RunResult, Simulation};
 use runtime::{
     ArrayIndexWorkload, DispatchPolicy, MixedWorkload, PrefetcherKind, QueueModel, StridedWorkload,
     SystemConfig, SystemKind,
@@ -220,6 +221,7 @@ pub fn prefetcher_policy(scale: Scale) -> FigureReport {
         "stride-5 walks (12 pages per request), P50 latency",
         "   offered   none p50(us)   readahead p50(us)   leap p50(us)   leap prefetches",
     );
+    let prefetches = |r: &RunResult| r.metrics.counter("prefetches").unwrap_or(0);
     for ((n, r), l) in none.iter().zip(&ra).zip(&leap) {
         s.rows.push(format!(
             "{:>10.0} {:>13.2} {:>18.2} {:>13.2} {:>15}",
@@ -227,7 +229,7 @@ pub fn prefetcher_policy(scale: Scale) -> FigureReport {
             n.point().p50_ns as f64 / 1000.0,
             r.point().p50_ns as f64 / 1000.0,
             l.point().p50_ns as f64 / 1000.0,
-            l.stats.prefetches,
+            prefetches(l),
         ));
     }
     report.series.push(s);
@@ -236,10 +238,9 @@ pub fn prefetcher_policy(scale: Scale) -> FigureReport {
         "next-page windows never fire on stride-5 faults",
         format!(
             "{} prefetches across the sweep",
-            ra.iter().map(|r| r.stats.prefetches).sum::<u64>()
+            ra.iter().map(prefetches).sum::<u64>()
         ),
-        ra.iter().map(|r| r.stats.prefetches).sum::<u64>()
-            < leap.iter().map(|r| r.stats.prefetches).sum::<u64>() / 10,
+        ra.iter().map(prefetches).sum::<u64>() < leap.iter().map(prefetches).sum::<u64>() / 10,
     ));
     report.expectations.push(Expectation::checked(
         "Leap's majority vote catches the stride",
@@ -361,15 +362,18 @@ pub fn burst_tolerance(scale: Scale) -> FigureReport {
             measure: scale.measure(),
             local_mem_fraction: 0.2,
             keep_breakdowns: false,
-            burst: Some((1.9, SimDuration::from_micros(400))),
-            timeline_bucket: Some(SimDuration::from_micros(200)),
             trace_capacity: None,
             spans: None,
             faults: None,
             telemetry: None,
             profile: None,
             memory: None,
-            tenants: None,
+            tenants: Some(TenantPlane::new(vec![TenantSpec::new(
+                rate,
+                "array",
+                TenantPriority::High,
+            )
+            .with_burst(1.9, SimDuration::from_micros(400))])),
         };
         let r = Simulation::new(cfg, &mut wl, params).run();
         if i == 0 {
@@ -377,15 +381,19 @@ pub fn burst_tolerance(scale: Scale) -> FigureReport {
         } else {
             big_cap_drops = r.recorder.dropped();
         }
-        let tl = r.timeline.as_ref().expect("timeline requested");
+        // Arrival-instant queue depth over the measurement window.
+        let qd = r
+            .metrics
+            .gauge("queue_depth")
+            .expect("queue_depth registered");
         s.rows.push(format!(
             "{:>13} {:>9} {:>11.2} {:>11} {:>11.0} {:>11.0}",
             cap,
             r.recorder.dropped(),
             r.point().p999_ns as f64 / 1000.0,
             r.recorder.completed_in_window(),
-            tl.queue_depth.overall_mean(),
-            tl.queue_depth.global_max(),
+            qd.mean,
+            qd.max,
         ));
     }
     report.series.push(s);
@@ -423,8 +431,6 @@ pub fn scalability(scale: Scale) -> FigureReport {
             measure: SimDuration::from_millis(15),
             local_mem_fraction: 1.0,
             keep_breakdowns: false,
-            burst: None,
-            timeline_bucket: None,
             trace_capacity: None,
             spans: None,
             faults: None,
@@ -572,8 +578,6 @@ pub fn faiss_nprobe(scale: Scale) -> FigureReport {
             measure: SimDuration::from_millis(250),
             local_mem_fraction: 0.2,
             keep_breakdowns: false,
-            burst: None,
-            timeline_bucket: None,
             trace_capacity: None,
             spans: None,
             faults: None,
@@ -773,8 +777,6 @@ fn run_faulty(
         measure: scale.measure(),
         local_mem_fraction: 0.2,
         keep_breakdowns: false,
-        burst: None,
-        timeline_bucket: None,
         trace_capacity: None,
         spans: Some(desim::SpanConfig::stats_only()),
         faults: Some(scenario),
@@ -1049,8 +1051,6 @@ pub fn shard_scaling(scale: Scale) -> FigureReport {
             measure: scale.measure(),
             local_mem_fraction: 0.2,
             keep_breakdowns: false,
-            burst: None,
-            timeline_bucket: None,
             trace_capacity: None,
             spans: None,
             faults: None,
@@ -1114,8 +1114,6 @@ pub fn shard_scaling(scale: Scale) -> FigureReport {
         measure: scale.measure(),
         local_mem_fraction: 0.2,
         keep_breakdowns: false,
-        burst: None,
-        timeline_bucket: None,
         trace_capacity: None,
         spans: None,
         faults,
@@ -1221,8 +1219,6 @@ pub fn dispatcher_scaling(scale: Scale) -> FigureReport {
                 measure: SimDuration::from_millis(15),
                 local_mem_fraction: 1.0,
                 keep_breakdowns: false,
-                burst: None,
-                timeline_bucket: None,
                 trace_capacity: None,
                 spans: None,
                 faults: None,
@@ -1324,7 +1320,6 @@ pub fn dispatcher_scaling(scale: Scale) -> FigureReport {
 /// Multi-tenant traffic plane: priority isolation at overload plus the
 /// LLM-serving vs KVS prefetcher divergence.
 pub fn tenant_isolation(scale: Scale) -> FigureReport {
-    use loadgen::{TenantPlane, TenantPriority, TenantSpec};
     use runtime::TenantWorkload;
 
     let mut report = FigureReport::new(
@@ -1363,8 +1358,6 @@ pub fn tenant_isolation(scale: Scale) -> FigureReport {
             measure: scale.measure(),
             local_mem_fraction: 0.2,
             keep_breakdowns: false,
-            burst: None,
-            timeline_bucket: None,
             trace_capacity: None,
             spans: None,
             faults: None,
@@ -1452,8 +1445,6 @@ pub fn tenant_isolation(scale: Scale) -> FigureReport {
             measure: scale.measure(),
             local_mem_fraction: 0.2,
             keep_breakdowns: false,
-            burst: None,
-            timeline_bucket: None,
             trace_capacity: None,
             spans: None,
             faults: None,
@@ -1521,8 +1512,6 @@ fn run_obs(
         measure: scale.measure(),
         local_mem_fraction: 0.2,
         keep_breakdowns: false,
-        burst: None,
-        timeline_bucket: None,
         trace_capacity: None,
         spans: None,
         faults: None,

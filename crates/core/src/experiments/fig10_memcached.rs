@@ -70,7 +70,10 @@ pub fn run(scale: Scale) -> FigureReport {
             tput > 0.95,
         ));
         // The paper attributes the modest gain to RDMA QP saturation.
-        let qp_stalls: u64 = adios.iter().map(|r| r.stats.qp_stalls).sum();
+        let qp_stalls: u64 = adios
+            .iter()
+            .map(|r| r.metrics.counter("qp_stalls").unwrap_or(0))
+            .sum();
         report.expectations.push(Expectation::info(
             format!("{value_len} B: QP-full pauses at overload"),
             "page fault handlers pause when QPs saturate",

@@ -100,7 +100,10 @@ pub fn run(scale: Scale) -> FigureReport {
         fmt_x(tput_p),
         tput_p > 1.05,
     ));
-    let preempts: u64 = dilos_p.iter().map(|r| r.stats.preemptions).sum();
+    let preempts: u64 = dilos_p
+        .iter()
+        .map(|r| r.metrics.counter("preemptions").unwrap_or(0))
+        .sum();
     report.expectations.push(Expectation::checked(
         "DiLOS-P preempts long SCANs",
         "5 µs quantum fires on SCAN(100)",

@@ -45,8 +45,6 @@ pub(crate) fn sweep(
                 measure,
                 local_mem_fraction,
                 keep_breakdowns: false,
-                burst: None,
-                timeline_bucket: None,
                 trace_capacity: None,
                 // Per-stage latency histograms for every sweep row.
                 spans: Some(desim::SpanConfig::stats_only()),
@@ -77,8 +75,6 @@ pub(crate) fn run_with_breakdowns(
         measure: scale.measure(),
         local_mem_fraction,
         keep_breakdowns: true,
-        burst: None,
-        timeline_bucket: None,
         trace_capacity: None,
         // Full span layer: the Figure 2c/7c breakdowns are derived from
         // the per-request span trees' critical paths.

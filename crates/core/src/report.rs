@@ -64,8 +64,8 @@ pub fn run_json(res: &RunResult) -> String {
         out.push_str("],");
     }
     // Per-tenant window view, only on multi-tenant runs: single-tenant
-    // (and plane-off) output stays byte-identical to the pre-tenant
-    // format.
+    // output (every run that leaves `tenants` unset included) stays
+    // byte-identical to the pre-tenant format.
     if res.tenants.len() > 1 {
         out.push_str("\"tenants\":[");
         for (i, t) in res.tenants.iter().enumerate() {

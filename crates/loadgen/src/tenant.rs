@@ -182,10 +182,21 @@ pub struct TenantPlane {
 
 impl TenantPlane {
     /// A plane over explicit specs; names default to `tN`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `specs` is empty or holds more than
+    /// [`desim::trace::tenant_names::MAX_TENANTS`] tenants (the
+    /// per-tenant counter schema is a static name table).
     pub fn new(mut specs: Vec<TenantSpec>) -> TenantPlane {
         assert!(
             !specs.is_empty(),
             "a tenant plane needs at least one tenant"
+        );
+        assert!(
+            specs.len() <= desim::trace::tenant_names::MAX_TENANTS,
+            "a tenant plane must not exceed {} tenants",
+            desim::trace::tenant_names::MAX_TENANTS
         );
         for (i, s) in specs.iter_mut().enumerate() {
             if s.name.is_empty() {
@@ -449,5 +460,12 @@ mod tests {
         assert!(TenantPlane::parse("800k:kvs:mid").is_err());
         assert!(TenantPlane::parse("800k:kvs:hi:lat<oops").is_err());
         assert!(TenantPlane::parse("1k:a:hi;".repeat(9).as_str()).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "a tenant plane must not exceed 8 tenants")]
+    fn planes_past_the_tenant_name_table_are_rejected() {
+        let spec = TenantSpec::new(1_000.0, "array", TenantPriority::High);
+        let _ = TenantPlane::new(vec![spec; desim::trace::tenant_names::MAX_TENANTS + 1]);
     }
 }

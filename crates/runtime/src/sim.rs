@@ -35,8 +35,8 @@ use fabric::nic::Verb;
 use fabric::{EthPort, FabricParams, MemNode, QpId, RdmaNic, ShardMap};
 use faults::{FaultPlane, FaultScenario, FaultStats};
 use loadgen::{
-    Breakdown, BurstyLoop, IngressFanIn, LoadPoint, OpenLoop, Recorder, TenantMix, TenantPlane,
-    TenantPriority, TenantSpec,
+    Breakdown, IngressFanIn, LoadPoint, Recorder, TenantMix, TenantPlane, TenantPriority,
+    TenantSpec,
 };
 pub use paging::observe::MemObsConfig;
 use paging::observe::{MemObservatory, MemReport, PrefetchClass};
@@ -53,7 +53,9 @@ use crate::workload::Workload;
 /// Parameters of one simulation run.
 #[derive(Debug, Clone)]
 pub struct RunParams {
-    /// Offered load in requests per second.
+    /// Offered load in requests per second. With
+    /// [`RunParams::tenants`] unset, the run's arrivals are a one-tenant
+    /// High-priority Poisson plane at this rate.
     pub offered_rps: f64,
     /// Seed for arrivals, workload and steering randomness.
     pub seed: u64,
@@ -66,13 +68,6 @@ pub struct RunParams {
     pub local_mem_fraction: f64,
     /// Retain per-request breakdowns (Figures 2c / 7c).
     pub keep_breakdowns: bool,
-    /// Optional burstiness: `(peak_factor, mean_phase)` turns the
-    /// Poisson source into a two-state MMPP with the same mean rate
-    /// (§3.2 burst-tolerance studies).
-    pub burst: Option<(f64, SimDuration)>,
-    /// Record a queue-depth/in-flight timeline with this bucket width
-    /// (None = off; used by the burst-tolerance study).
-    pub timeline_bucket: Option<SimDuration>,
     /// Retain a virtual-time event trace with this ring-buffer capacity
     /// (None = tracing off, the zero-cost default). The most recent
     /// `capacity` events are kept; [`RunResult::trace`] returns them
@@ -104,17 +99,16 @@ pub struct RunParams {
     /// and [`desim::profile::QueueProbe`]s watch every queue; the
     /// report lands in [`RunResult::profile`].
     pub profile: Option<ProfileConfig>,
-    /// Multi-tenant traffic plane (None = the legacy single-source
-    /// arrival path, byte-identical to runs predating tenants). When
-    /// set, arrivals come from a [`TenantMix`] merging every tenant's
-    /// own source, each request carries its tenant id, per-tenant
-    /// token-bucket admission and the low-priority shed watermark run
-    /// at dispatcher ingress, and [`RunResult::tenants`] carries the
-    /// per-tenant window accounting. `tenantN.*` counters join the
-    /// registry only when the plane has more than one tenant, so a
-    /// one-tenant plane reproduces the golden capture byte for byte.
-    /// When the plane is set, [`RunParams::burst`] is ignored — burst
-    /// shapes are per-tenant ([`TenantSpec::burst`]).
+    /// Tenant traffic plane, the run's only arrival path (None = one
+    /// High-priority Poisson tenant at [`RunParams::offered_rps`]).
+    /// Arrivals come from a [`TenantMix`] merging every tenant's own
+    /// source (Poisson, or MMPP bursts via [`TenantSpec::with_burst`]),
+    /// each request carries its tenant id, per-tenant token-bucket
+    /// admission and the low-priority shed watermark run at dispatcher
+    /// ingress, and [`RunResult::tenants`] carries the per-tenant window
+    /// accounting. `tenantN.*` counters join the registry only when the
+    /// plane has more than one tenant, so a one-tenant plane serialises
+    /// the golden capture byte for byte.
     pub tenants: Option<TenantPlane>,
     /// Memory-access observatory (None = off, the zero-cost default:
     /// nothing registers and no hook fires, so disabled runs replay
@@ -136,8 +130,6 @@ impl Default for RunParams {
             measure: SimDuration::from_millis(80),
             local_mem_fraction: 0.2,
             keep_breakdowns: false,
-            burst: None,
-            timeline_bucket: None,
             trace_capacity: None,
             spans: None,
             faults: None,
@@ -145,56 +137,6 @@ impl Default for RunParams {
             profile: None,
             tenants: None,
             memory: None,
-        }
-    }
-}
-
-/// Queue-depth and in-flight-fetch dynamics over the run.
-pub struct Timeline {
-    /// Central pending-queue depth, sampled at each arrival.
-    pub queue_depth: desim::TimeSeries,
-    /// Outstanding RDMA fetches, sampled at each arrival.
-    pub inflight: desim::TimeSeries,
-}
-
-/// Aggregate statistics of one run, scoped to the measurement window.
-///
-/// This is a compatibility view derived from the run's [`Metrics`]
-/// registry (see [`RunResult::metrics`] for the full registry snapshot,
-/// including gauges and counters this struct does not carry).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimStats {
-    /// Worker time burned busy-waiting (spinning), ns.
-    pub spin_ns: u64,
-    /// Preemptions performed (DiLOS-P).
-    pub preemptions: u64,
-    /// Faults that found the QP full and had to pause.
-    pub qp_stalls: u64,
-    /// Faults coalesced onto an in-flight fetch.
-    pub coalesced: u64,
-    /// Synchronous direct reclaims on the fault path.
-    pub direct_reclaims: u64,
-    /// Dirty pages written back.
-    pub writebacks: u64,
-    /// Speculative/sequential prefetch fetches issued.
-    pub prefetches: u64,
-    /// Requests taken from a peer's queue (`PerWorkerStealing`).
-    pub steals: u64,
-}
-
-impl SimStats {
-    /// Rebuilds the compatibility view from a registry snapshot.
-    fn from_snapshot(snap: &MetricsSnapshot) -> SimStats {
-        let c = |name| snap.counter(name).unwrap_or(0);
-        SimStats {
-            spin_ns: c("spin_ns"),
-            preemptions: c("preemptions"),
-            qp_stalls: c("qp_stalls"),
-            coalesced: c("coalesced"),
-            direct_reclaims: c("direct_reclaims"),
-            writebacks: c("writebacks"),
-            prefetches: c("prefetches"),
-            steals: c("steals"),
         }
     }
 }
@@ -265,6 +207,19 @@ impl MetricIds {
     }
 }
 
+/// One entry per entity `0..n` (shard, tenant or dispatcher core), or
+/// none at all when `n <= 1`. Every per-entity registry name and probe
+/// goes through this gate: a run with a single shard, tenant or
+/// dispatcher must serialise the exact schema of the golden capture,
+/// which predates all three, so it registers no per-entity names.
+fn per_entity<T>(n: usize, f: impl FnMut(usize) -> T) -> Vec<T> {
+    if n > 1 {
+        (0..n).map(f).collect()
+    } else {
+        Vec::new()
+    }
+}
+
 /// Per-shard counter/gauge handles (see
 /// [`desim::trace::shard_names`]). Registered only on multi-shard runs:
 /// a single shard must serialise the exact pre-sharding metrics schema.
@@ -331,6 +286,8 @@ pub(crate) struct DispatchCharge {
     pub(crate) end: SimTime,
     /// Serving dispatcher core.
     pub(crate) disp: usize,
+    /// Request the charge is for.
+    pub(crate) req: usize,
 }
 
 /// Kind of dispatcher-timeline charge (test-only; see [`DispatchCharge`]).
@@ -444,8 +401,7 @@ enum TenantEvent {
     Completion,
 }
 
-/// The tenant plane's runtime state (present only when
-/// [`RunParams::tenants`] is set).
+/// The tenant plane's runtime state.
 struct TenPlane {
     specs: Vec<TenantSpec>,
     /// `true` for low-priority tenants (shed-eligible, served last).
@@ -530,8 +486,6 @@ pub struct RunResult {
     pub rdma_data_util: f64,
     /// Utilisation of the RDMA control direction (compute→memory).
     pub rdma_ctrl_util: f64,
-    /// Aggregate counters (compatibility view of [`RunResult::metrics`]).
-    pub stats: SimStats,
     /// Full metrics-registry snapshot over the measurement window:
     /// every counter plus time-weighted gauges (queue depth, QP
     /// occupancy).
@@ -549,8 +503,6 @@ pub struct RunResult {
     pub window: SimDuration,
     /// Workers configured.
     pub workers: usize,
-    /// Optional dynamics timeline (see [`RunParams::timeline_bucket`]).
-    pub timeline: Option<Timeline>,
     /// Span-layer report: per-stage histograms, critical-path
     /// attributions and tail exemplars (present when spans were on —
     /// see [`RunParams::spans`]).
@@ -559,8 +511,7 @@ pub struct RunResult {
     /// shard (a single entry on unsharded runs).
     pub shards: Vec<ShardWindow>,
     /// Per-tenant window accounting, one entry per tenant of the plane
-    /// (empty when the run had no tenant plane — see
-    /// [`RunParams::tenants`]).
+    /// (a single entry when [`RunParams::tenants`] was unset).
     pub tenants: Vec<TenantWindow>,
     /// End-of-run request conservation, tracked on every run.
     pub conservation: Conservation,
@@ -584,6 +535,10 @@ pub struct RunResult {
     /// differential oracle (test builds only).
     #[cfg(test)]
     pub(crate) dispatcher_log: Vec<DispatchCharge>,
+    /// `(request, instant, core)` of every admit tick in commit order
+    /// (test builds only).
+    #[cfg(test)]
+    pub(crate) admit_log: Vec<(usize, SimTime, usize)>,
 }
 
 impl RunResult {
@@ -607,14 +562,16 @@ impl RunResult {
     /// With the profiler on, this is derived from the per-core state
     /// tilings, whose denominator is *proven* to cover the window
     /// exactly (see [`desim::profile::CoreProfiler`]). Without it, the
-    /// legacy counter ratio is used; its denominator assumes every
-    /// worker exists for the full window — true today, but unchecked,
-    /// which is why profiled runs prefer the tiling-derived value.
+    /// registry's `spin_ns` counter is used; its denominator assumes
+    /// every worker exists for the full window — true today, but
+    /// unchecked, which is why profiled runs prefer the tiling-derived
+    /// value.
     pub fn spin_fraction(&self) -> f64 {
         match &self.profile {
             Some(p) => p.worker_spin_fraction(),
             None => {
-                self.stats.spin_ns as f64 / (self.workers as f64 * self.window.as_nanos() as f64)
+                let spin_ns = self.metrics.counter("spin_ns").unwrap_or(0);
+                spin_ns as f64 / (self.workers as f64 * self.window.as_nanos() as f64)
             }
         }
     }
@@ -640,8 +597,10 @@ enum Cont {
 enum Ev {
     /// Request delivered to the node's RX path.
     Arrival { req: usize },
-    /// Dispatcher finished admitting a request into the central queue.
-    Admit { req: usize },
+    /// Dispatcher core `disp` finished an admission charge: it admits
+    /// the next request of its own ingress queues into the central
+    /// queue.
+    Admit { disp: usize },
     /// A worker continues at its scheduled time.
     WorkerWake { worker: usize, cont: Cont },
     /// A page fetch CQE became pollable.
@@ -817,25 +776,6 @@ enum ReclaimState {
     Scheduled,
 }
 
-/// The arrival source (Poisson, MMPP, or a merged multi-tenant mix).
-enum Arrivals {
-    Poisson(OpenLoop),
-    Bursty(BurstyLoop),
-    Tenant(TenantMix),
-}
-
-impl Arrivals {
-    /// Next arrival instant and the tenant it belongs to (tenant 0 for
-    /// the single-source legacy paths).
-    fn next_arrival(&mut self) -> (SimTime, u16) {
-        match self {
-            Arrivals::Poisson(p) => (p.next_arrival(), 0),
-            Arrivals::Bursty(b) => (b.next_arrival(), 0),
-            Arrivals::Tenant(m) => m.next_arrival(),
-        }
-    }
-}
-
 /// Bits of [`Simulation::obs_mask`]: which optional observability
 /// layers are enabled for this run.
 mod obs {
@@ -918,7 +858,7 @@ pub struct Simulation<'w> {
     plane_start: FaultStats,
     cache: PageCache,
     workload: &'w mut dyn Workload,
-    arrivals: Arrivals,
+    arrivals: TenantMix,
     recorder: Recorder,
     rng: Rng,
     reqs: Vec<Option<Req>>,
@@ -933,21 +873,20 @@ pub struct Simulation<'w> {
     obs_mask: u8,
     workers: Vec<Worker>,
     pending: VecDeque<usize>,
-    /// Low-priority central queue, used only when a tenant plane is
-    /// on: the dispatcher serves `pending` (high priority) first.
-    /// Empty — and never touched — on plane-off runs, so the legacy
-    /// path is byte-identical.
+    /// Low-priority central queue: the dispatcher serves `pending`
+    /// (high priority) first.
     pending_lo: VecDeque<usize>,
-    /// Priority-split dispatcher ingress, used only when a tenant
-    /// plane is on: arrivals waiting for their admit tick are popped
-    /// high-priority-first instead of FIFO, so a high-priority request
-    /// never queues behind a low-priority backlog at admission. Admit
-    /// tick *timing* is unchanged — only the identity served at each
-    /// tick is reordered. Empty on plane-off runs.
-    ingress_hi: VecDeque<usize>,
-    ingress_lo: VecDeque<usize>,
-    /// Tenant-plane runtime state (None = plane off).
-    tenplane: Option<TenPlane>,
+    /// Priority-split ingress of each serving dispatcher core: arrivals
+    /// whose admission is charged on core `d` wait here for `d`'s admit
+    /// tick, which pops high-priority-first instead of FIFO, so a
+    /// high-priority request never queues behind a low-priority backlog
+    /// at admission. Admit tick *timing* is unchanged — only the
+    /// identity served at each tick is reordered, and only among
+    /// requests charged on the same core.
+    ingress_hi: Vec<VecDeque<usize>>,
+    ingress_lo: Vec<VecDeque<usize>>,
+    /// Tenant-plane runtime state.
+    tenplane: TenPlane,
     /// Request-conservation tallies (`inflight_at_end` is derived at
     /// run end from the live request slots).
     cons: Conservation,
@@ -976,6 +915,9 @@ pub struct Simulation<'w> {
     /// Dispatcher-timeline charges for the differential oracle.
     #[cfg(test)]
     dispatcher_log: Vec<DispatchCharge>,
+    /// `(request, instant, core)` of every admit tick, in commit order.
+    #[cfg(test)]
+    admit_log: Vec<(usize, SimTime, usize)>,
     inflight: FxHashMap<u64, Inflight>,
     /// Superseded fetch records: a fetch whose completion was consumed
     /// early can see its page evicted and re-faulted while its
@@ -1007,7 +949,6 @@ pub struct Simulation<'w> {
     last_now: SimTime,
     warmup_end: SimTime,
     measure_end: SimTime,
-    timeline: Option<Timeline>,
     /// Continuous-telemetry bridge (None = telemetry off; see
     /// [`RunParams::telemetry`]).
     telem: Option<TelemBridge>,
@@ -1053,7 +994,8 @@ impl<'w> Simulation<'w> {
     ///
     /// # Panics
     ///
-    /// Panics if `local_mem_fraction` is outside `(0, 1]`.
+    /// Panics if `local_mem_fraction` is outside `(0, 1]`, or if
+    /// `tenants` is unset and `offered_rps` is not positive.
     pub fn new(
         cfg: SystemConfig,
         workload: &'w mut dyn Workload,
@@ -1106,66 +1048,45 @@ impl<'w> Simulation<'w> {
         let ids = MetricIds::register(&mut metrics);
         let shards = cfg.shards();
         let replicas = cfg.replicas();
-        // Per-shard names join the registry only when sharding is on:
-        // the single-shard schema must stay bit-identical to the
-        // pre-sharding output.
-        let shard_ids = if shards > 1 {
-            (0..shards)
-                .map(|s| ShardMetricIds::register(&mut metrics, s))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let shard_ids = per_entity(shards, |s| ShardMetricIds::register(&mut metrics, s));
         let shard_map = ShardMap::new(shards, replicas, total_pages, cfg.shard_policy);
 
         // Tenant plane: the merged arrival mix is built from the spec
-        // list, and per-tenant counter names join the registry only
-        // when the plane has more than one tenant (a one-tenant plane
-        // must serialise the exact pre-tenant schema). Registration
-        // happens here — before the flight recorder below — so
-        // telemetry runs sample the tenant counters too.
-        let plane = params.tenants.take();
-        let tenant_mix = plane.as_ref().map(|p| TenantMix::new(p, params.seed));
-        let tenplane = plane.map(|p| {
-            let n = p.specs.len();
-            let ids = if n > 1 {
-                (0..n)
-                    .map(|t| TenantMetricIds::register(&mut metrics, t))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            TenPlane {
-                lo: p
-                    .specs
-                    .iter()
-                    .map(|s| s.priority == TenantPriority::Low)
-                    .collect(),
-                buckets: p
-                    .specs
-                    .iter()
-                    .map(|s| s.bucket_rps.map(|r| TokenBucket::new(r, s.bucket_burst)))
-                    .collect(),
-                acct: vec![TenantAcct::default(); n],
-                ids,
-                shed_watermark: p.shed_watermark,
-                specs: p.specs,
-            }
+        // list (one Poisson tenant at `offered_rps` by default; tenant 0
+        // keeps the base seed, so that stream is exactly the plain
+        // open-loop source). Tenant counters register here — before the
+        // flight recorder below — so telemetry runs sample them too.
+        let plane = params.tenants.take().unwrap_or_else(|| {
+            TenantPlane::new(vec![TenantSpec::new(
+                params.offered_rps,
+                "default",
+                TenantPriority::High,
+            )])
         });
+        let tenant_mix = TenantMix::new(&plane, params.seed);
+        let n = plane.specs.len();
+        let tenplane = TenPlane {
+            lo: plane
+                .specs
+                .iter()
+                .map(|s| s.priority == TenantPriority::Low)
+                .collect(),
+            buckets: plane
+                .specs
+                .iter()
+                .map(|s| s.bucket_rps.map(|r| TokenBucket::new(r, s.bucket_burst)))
+                .collect(),
+            acct: vec![TenantAcct::default(); n],
+            ids: per_entity(n, |t| TenantMetricIds::register(&mut metrics, t)),
+            shed_watermark: plane.shed_watermark,
+            specs: plane.specs,
+        };
 
-        // Dispatcher scaling: per-dispatcher counters join the registry
-        // only when the ingress plane has more than one core, mirroring
-        // the shard/tenant gating discipline — a single dispatcher must
-        // serialise the exact pre-scaling schema.
         let ndisp = cfg.ndispatchers();
         let observed = params.telemetry.is_some() || params.profile.is_some();
-        let disp_ids = if ndisp > 1 {
-            (0..ndisp)
-                .map(|d| DispatcherMetricIds::register(&mut metrics, d, observed))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let disp_ids = per_entity(ndisp, |d| {
+            DispatcherMetricIds::register(&mut metrics, d, observed)
+        });
         // Dispatcher utilization joins the registry only when an
         // observer (telemetry or the profiler) wants it: the default
         // schema must stay byte-identical to the golden capture. With
@@ -1195,20 +1116,12 @@ impl<'w> Simulation<'w> {
                 frame_wait_ns: 0,
                 ingress: QueueProbe::new("ingress".to_string(), warmup_end, measure_end),
                 ingress_gauge: metrics.gauge(queue_names::INGRESS),
-                dingress: if ndisp > 1 {
-                    (0..ndisp)
-                        .map(|d| QueueProbe::new(format!("d{d}.ingress"), warmup_end, measure_end))
-                        .collect()
-                } else {
-                    Vec::new()
-                },
-                dingress_gauges: if ndisp > 1 {
-                    (0..ndisp)
-                        .map(|d| queue_names::D_INGRESS.get(d).map(|n| metrics.gauge(n)))
-                        .collect()
-                } else {
-                    Vec::new()
-                },
+                dingress: per_entity(ndisp, |d| {
+                    QueueProbe::new(format!("d{d}.ingress"), warmup_end, measure_end)
+                }),
+                dingress_gauges: per_entity(ndisp, |d| {
+                    queue_names::D_INGRESS.get(d).map(|n| metrics.gauge(n))
+                }),
                 runnable: (0..cfg.workers)
                     .map(|w| QueueProbe::new(format!("w{w}.runnable"), warmup_end, measure_end))
                     .collect(),
@@ -1250,13 +1163,7 @@ impl<'w> Simulation<'w> {
             heat_skew: metrics.gauge("memory.heat_skew"),
             hit_rate: metrics.gauge("memory.prefetch_hit_rate"),
             obs_dropped: metrics.counter("memory.obs_dropped"),
-            heat_share: if shards > 1 {
-                (0..shards)
-                    .map(|s| metrics.gauge(sn::HEAT_SHARE[s]))
-                    .collect()
-            } else {
-                Vec::new()
-            },
+            heat_share: per_entity(shards, |s| metrics.gauge(sn::HEAT_SHARE[s])),
             dropped_synced: 0,
         });
 
@@ -1295,24 +1202,18 @@ impl<'w> Simulation<'w> {
             for s in 0..shards {
                 rec.register_health(format!("shard{s}"));
             }
-            // Tenant health entities follow the shards, mirroring the
-            // counter-registration gate: multi-tenant planes only.
-            let tenants = tenplane.as_ref().map_or(0, |tp| {
-                if tp.specs.len() > 1 {
-                    tp.specs.len()
-                } else {
-                    0
-                }
-            });
+            // Tenant health entities follow the shards, behind the same
+            // gate as the tenant counters.
+            let tick_s = rec.tick_period().as_secs_f64();
+            let specs = &tenplane.specs;
+            let tenant_per_tick = per_entity(specs.len(), |t| specs[t].rate_rps * tick_s);
+            let tenants = tenant_per_tick.len();
             for t in 0..tenants {
                 rec.register_health(format!("tenant{t}"));
             }
-            let tick_s = rec.tick_period().as_secs_f64();
             TelemBridge {
                 health: Vec::with_capacity(cfg.workers + shards + tenants),
-                tenant_per_tick: (0..tenants)
-                    .map(|t| tenplane.as_ref().expect("tenants > 0").specs[t].rate_rps * tick_s)
-                    .collect(),
+                tenant_per_tick,
                 rec,
                 qp_tally: vec![FetchTally::default(); cfg.workers],
                 qp_prev: vec![FetchTally::default(); cfg.workers],
@@ -1364,18 +1265,7 @@ impl<'w> Simulation<'w> {
             plane,
             plane_start: FaultStats::default(),
             cache,
-            arrivals: match tenant_mix {
-                Some(mix) => Arrivals::Tenant(mix),
-                None => match params.burst {
-                    None => Arrivals::Poisson(OpenLoop::new(params.offered_rps, params.seed)),
-                    Some((peak, phase)) => Arrivals::Bursty(BurstyLoop::new(
-                        params.offered_rps,
-                        peak,
-                        phase,
-                        params.seed,
-                    )),
-                },
-            },
+            arrivals: tenant_mix,
             recorder,
             rng,
             reqs: Vec::new(),
@@ -1385,8 +1275,8 @@ impl<'w> Simulation<'w> {
             workers,
             pending: VecDeque::new(),
             pending_lo: VecDeque::new(),
-            ingress_hi: VecDeque::new(),
-            ingress_lo: VecDeque::new(),
+            ingress_hi: vec![VecDeque::new(); ndisp],
+            ingress_lo: vec![VecDeque::new(); ndisp],
             tenplane,
             cons: Conservation::default(),
             rr_next: 0,
@@ -1400,6 +1290,8 @@ impl<'w> Simulation<'w> {
             disp_ids,
             #[cfg(test)]
             dispatcher_log: Vec::new(),
+            #[cfg(test)]
+            admit_log: Vec::new(),
             inflight: FxHashMap::default(),
             orphan_fetches: Vec::new(),
             deferred_writebacks: vec![VecDeque::new(); shards],
@@ -1419,10 +1311,6 @@ impl<'w> Simulation<'w> {
             last_now: SimTime::ZERO,
             warmup_end,
             measure_end,
-            timeline: params.timeline_bucket.map(|b| Timeline {
-                queue_depth: desim::TimeSeries::new(b),
-                inflight: desim::TimeSeries::new(b),
-            }),
             telem,
             prof,
             dispatcher_busy_gauge,
@@ -1585,11 +1473,10 @@ impl<'w> Simulation<'w> {
             queues.extend(p.wb.iter().map(QueueProbe::report));
             p.cores.finish(queues, p.frame_wait_ns)
         });
-        let stats = SimStats::from_snapshot(&metrics);
-        // Satellite cross-check: on fault-free runs the legacy spin
-        // counter and the tiling-derived spin time must agree. They
-        // cannot agree exactly — the counter bins whole spin intervals
-        // at the instant they are issued (a spin straddling the warm-up
+        // Cross-check: on fault-free runs the `spin_ns` counter and the
+        // tiling-derived spin time must agree. They cannot agree
+        // exactly — the counter bins whole spin intervals at the
+        // instant they are issued (a spin straddling the warm-up
         // boundary is booked whole or zeroed by the reset) while the
         // profiler clamps every accrual to the window — so the bound is
         // 2 % of total worker time plus 5 % of the counter itself.
@@ -1611,12 +1498,11 @@ impl<'w> Simulation<'w> {
                     .filter(|c| c.is_worker)
                     .map(|c| c.total_ns())
                     .sum();
-                let diff = stats.spin_ns.abs_diff(derived);
+                let spin_ns = metrics.counter("spin_ns").unwrap_or(0);
+                let diff = spin_ns.abs_diff(derived);
                 assert!(
-                    diff as f64 <= 0.02 * total as f64 + 0.05 * stats.spin_ns as f64,
-                    "legacy spin_ns {} vs profiler-derived {} diverge beyond tolerance",
-                    stats.spin_ns,
-                    derived
+                    diff as f64 <= 0.02 * total as f64 + 0.05 * spin_ns as f64,
+                    "spin_ns counter {spin_ns} vs profiler-derived {derived} diverge beyond tolerance"
                 );
             }
         }
@@ -1641,33 +1527,30 @@ impl<'w> Simulation<'w> {
             );
             rep
         });
-        let tenants = match self.tenplane.take() {
-            None => Vec::new(),
-            Some(tp) => tp
-                .specs
-                .iter()
-                .zip(tp.acct)
-                .enumerate()
-                .map(|(t, (spec, acct))| TenantWindow {
-                    tenant: t,
-                    name: spec.name.clone(),
-                    priority: spec.priority.name(),
-                    offered_rps: spec.rate_rps,
-                    arrivals: acct.arrivals,
-                    admitted: acct.admitted,
-                    completed: acct.completed,
-                    sheds: acct.sheds,
-                    drops: acct.drops,
-                    slo_ok: slo_verdict(&spec.slo, &acct.latency),
-                    latency_ns: acct.latency,
-                })
-                .collect(),
-        };
+        let tp = self.tenplane;
+        let tenants = tp
+            .specs
+            .into_iter()
+            .zip(tp.acct)
+            .enumerate()
+            .map(|(t, (spec, acct))| TenantWindow {
+                tenant: t,
+                slo_ok: slo_verdict(&spec.slo, &acct.latency),
+                name: spec.name,
+                priority: spec.priority.name(),
+                offered_rps: spec.rate_rps,
+                arrivals: acct.arrivals,
+                admitted: acct.admitted,
+                completed: acct.completed,
+                sheds: acct.sheds,
+                drops: acct.drops,
+                latency_ns: acct.latency,
+            })
+            .collect();
         RunResult {
             recorder: self.recorder,
             rdma_data_util: data_util,
             rdma_ctrl_util: ctrl_util,
-            stats,
             metrics,
             trace,
             trace_dropped: self.tracer.dropped(),
@@ -1675,7 +1558,6 @@ impl<'w> Simulation<'w> {
             offered_rps: self.params.offered_rps,
             window,
             workers: self.cfg.workers,
-            timeline: self.timeline,
             spans: self.span_store.map(SpanStore::finish),
             shards: shard_windows,
             tenants,
@@ -1685,6 +1567,8 @@ impl<'w> Simulation<'w> {
             memory,
             #[cfg(test)]
             dispatcher_log: std::mem::take(&mut self.dispatcher_log),
+            #[cfg(test)]
+            admit_log: std::mem::take(&mut self.admit_log),
         }
     }
 
@@ -1839,13 +1723,22 @@ impl<'w> Simulation<'w> {
     /// Logs one dispatcher-timeline charge for the differential oracle
     /// (test builds only — the release hot path carries no log).
     #[cfg(test)]
-    fn log_charge(&mut self, op: DispatchOp, now: SimTime, start: SimTime, end: SimTime, d: usize) {
+    fn log_charge(
+        &mut self,
+        op: DispatchOp,
+        now: SimTime,
+        start: SimTime,
+        end: SimTime,
+        d: usize,
+        req: usize,
+    ) {
         self.dispatcher_log.push(DispatchCharge {
             op,
             now,
             start,
             end,
             disp: d,
+            req,
         });
     }
 
@@ -1976,7 +1869,7 @@ impl<'w> Simulation<'w> {
         let mut trace = self.trace_pool.pop().unwrap_or_default();
         // Route the draw through the tenant-aware hook: the default
         // implementation delegates straight to `next_request_into`, so
-        // plane-off runs draw the identical rng stream.
+        // tenant-agnostic workloads draw the identical rng stream.
         self.workload
             .next_request_for(tenant as usize, &mut self.rng, &mut trace);
         let req_bytes = trace.request_bytes;
@@ -2054,7 +1947,7 @@ impl<'w> Simulation<'w> {
     fn handle(&mut self, now: SimTime, ev: Ev) {
         match ev {
             Ev::Arrival { req } => self.on_arrival(now, req),
-            Ev::Admit { req } => self.on_admit(now, req),
+            Ev::Admit { disp } => self.on_admit(now, disp),
             Ev::WorkerWake { worker, cont } => self.on_worker_wake(now, worker, cont),
             Ev::FetchDone { worker, page } => self.on_fetch_done(now, worker, page),
             Ev::WaiterReady { req } => self.on_waiter_ready(now, req),
@@ -2277,11 +2170,10 @@ impl<'w> Simulation<'w> {
     /// Books one tenant-plane event: bumps the tenant's registry
     /// counter (multi-tenant runs only — see [`TenantMetricIds`]) and
     /// its window accounting. Arrivals, sheds and drops window on the
-    /// TX instant; completions on the reply RX instant. One branch
-    /// when the plane is off.
+    /// TX instant; completions on the reply RX instant.
     #[inline]
     fn tenant_note(&mut self, tenant: u16, ev: TenantEvent, at: SimTime, latency_ns: u64) {
-        let Some(tp) = &mut self.tenplane else { return };
+        let tp = &mut self.tenplane;
         let t = tenant as usize;
         if let Some(ids) = tp.ids.get(t) {
             let id = match ev {
@@ -2331,17 +2223,11 @@ impl<'w> Simulation<'w> {
     }
 
     /// Enqueues an admitted request into its priority class's central
-    /// queue (everything is high-priority with the plane off, so the
-    /// legacy path never touches `pending_lo`).
+    /// queue.
     #[inline]
     fn push_pending(&mut self, req: usize) {
-        let lo = match &self.tenplane {
-            Some(tp) => {
-                tp.lo[self.reqs[req].as_ref().expect("dangling request id").tenant as usize]
-            }
-            None => false,
-        };
-        if lo {
+        let tenant = self.reqs[req].as_ref().expect("dangling request id").tenant;
+        if self.tenplane.lo[tenant as usize] {
             self.pending_lo.push_back(req);
         } else {
             self.pending.push_back(req);
@@ -2365,10 +2251,12 @@ impl<'w> Simulation<'w> {
     /// explicit outcome is visible as `tenantN.sheds` counters, the
     /// `dispatch/shed` trace event and [`Conservation::sheds`].
     fn tenant_admission(&mut self, now: SimTime, req: usize) -> bool {
-        if self.tenplane.is_none() {
-            return false;
-        }
         let tenant = self.reqs[req].as_ref().expect("dangling request id").tenant;
+        let t = tenant as usize;
+        let refused = match &mut self.tenplane.buckets[t] {
+            Some(b) => !b.admit(now),
+            None => false,
+        };
         // Watermark depth is the full dispatcher ingress picture:
         // requests waiting for their admit tick — summed over *every*
         // dispatcher's ingress slot, not just one — plus both central
@@ -2376,16 +2264,11 @@ impl<'w> Simulation<'w> {
         // `admission_backlog` before it ever reaches `pending`, and on
         // scaled ingress planes it pools across all the slots at once;
         // counting a single slot would shed `dispatchers ×` too late.
-        let depth = self.pending_depth() + self.admission_backlog.iter().sum::<usize>();
-        let shed = {
-            let tp = self.tenplane.as_mut().expect("checked above");
-            let t = tenant as usize;
-            let refused = match &mut tp.buckets[t] {
-                Some(b) => !b.admit(now),
-                None => false,
-            };
-            refused || (tp.lo[t] && tp.shed_watermark.is_some_and(|wm| depth >= wm))
-        };
+        let shed = refused
+            || (self.tenplane.lo[t]
+                && self.tenplane.shed_watermark.is_some_and(|wm| {
+                    wm <= self.pending_depth() + self.admission_backlog.iter().sum::<usize>()
+                }));
         if !shed {
             return false;
         }
@@ -2490,11 +2373,6 @@ impl<'w> Simulation<'w> {
                 .sum::<usize>();
         self.metrics
             .gauge_set(self.ids.queue_depth, now, depth as f64);
-        let inflight = self.total_outstanding();
-        if let Some(tl) = &mut self.timeline {
-            tl.queue_depth.record(now, depth as f64);
-            tl.inflight.record(now, inflight as f64);
-        }
         if self.plane.active() {
             let in_episode = self.plane.episode_active(now);
             self.metrics
@@ -2506,8 +2384,7 @@ impl<'w> Simulation<'w> {
             sb.phase(Stage::Net, now);
         }
         // Tenant-plane ingress: book the arrival, then run admission
-        // (token bucket + low-priority shed watermark). All of this is
-        // branch-only when the plane is off.
+        // (token bucket + low-priority shed watermark).
         let (tenant, tx) = {
             let r = self.reqs[req].as_ref().expect("dangling request id");
             (r.tenant, r.tx_time)
@@ -2537,17 +2414,16 @@ impl<'w> Simulation<'w> {
                 }
                 self.admission_backlog[home] += 1;
                 self.q_dingress(home, now, true);
-                if let Some(tp) = &self.tenplane {
-                    // Priority-split ingress: the admit tick below pops
-                    // hi-first (see `on_admit`), so the `req` carried by
-                    // the event is only the plane-off identity.
-                    if tp.lo[tenant as usize] {
-                        self.ingress_lo.push_back(req);
-                    } else {
-                        self.ingress_hi.push_back(req);
-                    }
-                }
                 let (serve, start, end) = self.admit_on_policy(now, home);
+                // Queue on the serving core's priority-split ingress:
+                // its admit tick at `end` pops hi-first (see
+                // `on_admit`), so a request is only ever admitted by
+                // the core its admission was charged on.
+                if self.tenplane.lo[tenant as usize] {
+                    self.ingress_lo[serve].push_back(req);
+                } else {
+                    self.ingress_hi[serve].push_back(req);
+                }
                 {
                     let r = self.reqs[req].as_mut().expect("dangling request id");
                     r.disp = serve as u16;
@@ -2558,8 +2434,8 @@ impl<'w> Simulation<'w> {
                 }
                 self.dispatcher_busy(serve, start, end, CoreState::Dispatch);
                 #[cfg(test)]
-                self.log_charge(DispatchOp::Admit, now, start, end, serve);
-                self.events.push(end, Ev::Admit { req });
+                self.log_charge(DispatchOp::Admit, now, start, end, serve, req);
+                self.events.push(end, Ev::Admit { disp: serve });
             }
             QueueModel::PerWorker | QueueModel::PerWorkerStealing => {
                 // RSS-style random steering straight into a worker queue.
@@ -2582,19 +2458,18 @@ impl<'w> Simulation<'w> {
         }
     }
 
-    fn on_admit(&mut self, now: SimTime, req: usize) {
-        // With a tenant plane on, the admit tick serves the ingress
-        // queues hi-first; the event's own `req` is one of the queued
-        // entries (ticks and pushes are one-to-one), just not
-        // necessarily the one admitted now.
-        let req = if self.tenplane.is_some() {
-            self.ingress_hi
-                .pop_front()
-                .or_else(|| self.ingress_lo.pop_front())
-                .expect("admit tick without a queued ingress request")
-        } else {
-            req
-        };
+    fn on_admit(&mut self, now: SimTime, disp: usize) {
+        // Core `disp`'s admit tick serves its own ingress queues
+        // hi-first. Ticks and pushes are one-to-one per core and a
+        // core's charges end in push order, so with only high-priority
+        // tenants the popped request is exactly the one whose charge
+        // ends now.
+        let req = self.ingress_hi[disp]
+            .pop_front()
+            .or_else(|| self.ingress_lo[disp].pop_front())
+            .expect("admit tick without a queued ingress request");
+        #[cfg(test)]
+        self.admit_log.push((req, now, disp));
         // The popped identity vacates the ingress slot it was steered
         // to at arrival (each identity increments and decrements its
         // own slot exactly once, so the per-slot counts stay exact
@@ -2619,8 +2494,7 @@ impl<'w> Simulation<'w> {
         // dispatcher. Gated off the single-dispatcher machine so the
         // golden single-dispatcher byte streams stay untouched.
         if self.dispatcher_free.len() > 1 {
-            let d = self.reqs[req].as_ref().expect("dangling request id").disp as u64;
-            self.trace(now, "dispatch", "disp_admit", req as u64, d);
+            self.trace(now, "dispatch", "disp_admit", req as u64, disp as u64);
         }
         self.push_pending(req);
         self.try_dispatch(now);
@@ -2645,7 +2519,7 @@ impl<'w> Simulation<'w> {
             self.dispatcher_free[d] = dend;
             self.dispatcher_busy(d, start, dend, CoreState::Handoff);
             #[cfg(test)]
-            self.log_charge(DispatchOp::PushHandoff, now, start, dend, d);
+            self.log_charge(DispatchOp::PushHandoff, now, start, dend, d, req);
             self.wprof_handoff_from(w, hstart, wake);
             self.workers[w].busy = true;
             self.metrics.inc(self.ids.dispatches);
@@ -3654,7 +3528,7 @@ impl<'w> Simulation<'w> {
                     self.dispatcher_free[d] = wake;
                     self.dispatcher_busy(d, start, wake, CoreState::Handoff);
                     #[cfg(test)]
-                    self.log_charge(DispatchOp::PullHandoff, t, start, wake, d);
+                    self.log_charge(DispatchOp::PullHandoff, t, start, wake, d, req);
                     // Pull-path handoff: the worker waits on the
                     // dispatcher, so the whole `[t, wake]` interval is
                     // handoff time on the worker core too.
@@ -3771,7 +3645,7 @@ impl<'w> Simulation<'w> {
             self.dispatcher_free[d] = dend;
             self.dispatcher_busy(d, start, dend, CoreState::Dispatch);
             #[cfg(test)]
-            self.log_charge(DispatchOp::Recycle, t, start, dend, d);
+            self.log_charge(DispatchOp::Recycle, t, start, dend, d, req);
         } else {
             // The worker spins until the TX completion. The spin can
             // outlast the client's receive instant (CQE raise vs. wire
@@ -3992,8 +3866,6 @@ mod tests {
             measure: SimDuration::from_millis(10),
             local_mem_fraction: 0.2,
             keep_breakdowns: false,
-            burst: None,
-            timeline_bucket: None,
             trace_capacity: None,
             spans: None,
             faults: None,
@@ -4114,11 +3986,12 @@ mod tests {
     fn stall_episodes_inflate_busywait_spin() {
         let base = run(SystemKind::Dilos, 400_000.0);
         let stalled = run_faulty(SystemConfig::dilos(), 400_000.0, FaultScenario::stall());
+        let spin = |r: &RunResult| r.metrics.counter("spin_ns").unwrap_or(0);
         assert!(
-            stalled.stats.spin_ns > base.stats.spin_ns,
+            spin(&stalled) > spin(&base),
             "stalled memnode must lengthen busy-wait spins: {} vs {}",
-            stalled.stats.spin_ns,
-            base.stats.spin_ns
+            spin(&stalled),
+            spin(&base)
         );
         assert_fault_invariant(&stalled);
     }
@@ -4172,7 +4045,10 @@ mod tests {
             a.recorder.overall().percentile(99.0),
             b.recorder.overall().percentile(99.0)
         );
-        assert_eq!(a.stats.prefetches, b.stats.prefetches);
+        assert_eq!(
+            a.metrics.counter("prefetches"),
+            b.metrics.counter("prefetches")
+        );
     }
 
     #[test]
@@ -4241,7 +4117,7 @@ mod tests {
         let mut w = small_workload();
         let res = run_one(SystemConfig::adios(), &mut w, params);
         assert_eq!(res.cache.misses, 0);
-        assert_eq!(res.stats.prefetches, 0);
+        assert_eq!(res.metrics.counter("prefetches"), Some(0));
         assert!(res.rdma_data_util < 1e-6);
         assert!(res.recorder.completed_in_window() > 1000);
     }
@@ -4289,8 +4165,15 @@ mod tests {
         let params = quick_params(50_000.0);
         let p = run_one(SystemConfig::dilos_p(), &mut LongCompute, params.clone());
         let d = run_one(SystemConfig::dilos(), &mut LongCompute, params);
-        assert!(p.stats.preemptions > 0, "DiLOS-P must preempt long scans");
-        assert_eq!(d.stats.preemptions, 0, "DiLOS never preempts");
+        assert!(
+            p.metrics.counter("preemptions").unwrap_or(0) > 0,
+            "DiLOS-P must preempt long scans"
+        );
+        assert_eq!(
+            d.metrics.counter("preemptions"),
+            Some(0),
+            "DiLOS never preempts"
+        );
     }
 
     #[test]
@@ -4346,7 +4229,10 @@ mod tests {
             &mut WriteHeavy,
             quick_params(500_000.0),
         );
-        assert!(res.stats.writebacks > 0, "dirty evictions must write back");
+        assert!(
+            res.metrics.counter("writebacks").unwrap_or(0) > 0,
+            "dirty evictions must write back"
+        );
         assert!(res.rdma_ctrl_util > 0.0);
     }
 
@@ -4357,7 +4243,7 @@ mod tests {
         let mut w = small_workload();
         let res = run_one(cfg, &mut w, quick_params(1_500_000.0));
         assert!(
-            res.stats.qp_stalls > 0,
+            res.metrics.counter("qp_stalls").unwrap_or(0) > 0,
             "depth-1 QPs must pause the fault handler (§5.2 mechanism)"
         );
         assert!(
@@ -4404,7 +4290,7 @@ mod tests {
         params.warmup = SimDuration::ZERO;
         let res = run_one(SystemConfig::adios(), &mut HotPages, params);
         assert!(
-            res.stats.coalesced > 0,
+            res.metrics.counter("coalesced").unwrap_or(0) > 0,
             "concurrent faults on hot pages must coalesce"
         );
         // Far fewer fetches than requests: the hot set stays resident.
@@ -4420,7 +4306,7 @@ mod tests {
         let mut w = small_workload();
         let res = run_one(cfg, &mut w, quick_params(1_500_000.0));
         assert!(
-            res.stats.steals > 0,
+            res.metrics.counter("steals").unwrap_or(0) > 0,
             "random steering must imbalance queues"
         );
     }
@@ -4442,15 +4328,24 @@ mod tests {
     }
 
     #[test]
-    fn timeline_records_queue_dynamics() {
-        let mut params = quick_params(1_800_000.0);
-        params.timeline_bucket = Some(SimDuration::from_micros(100));
+    fn queue_depth_gauge_records_burst_dynamics() {
+        // A bursty one-tenant plane near DiLOS' knee: the arrival-time
+        // queue-depth gauge must see a backlog, and its peak can never
+        // sit below its time-weighted mean.
+        let plane = TenantPlane::new(vec![TenantSpec::new(
+            1_800_000.0,
+            "array",
+            TenantPriority::High,
+        )
+        .with_burst(1.9, SimDuration::from_micros(100))]);
         let mut w = small_workload();
-        let res = run_one(SystemConfig::dilos(), &mut w, params);
-        let tl = res.timeline.expect("timeline requested");
-        assert!(tl.queue_depth.samples() > 1_000);
-        assert!(tl.inflight.global_max() >= 1.0);
-        assert!(!tl.queue_depth.means().is_empty());
+        let res = run_one(SystemConfig::dilos(), &mut w, tenant_params(plane));
+        let qd = res
+            .metrics
+            .gauge("queue_depth")
+            .expect("queue_depth registered");
+        assert!(qd.mean > 0.0, "bursts must queue: {qd:?}");
+        assert!(qd.max >= qd.mean, "peak below mean: {qd:?}");
     }
 
     #[test]
@@ -4517,7 +4412,10 @@ mod tests {
         params.measure = SimDuration::from_millis(4);
         let mut w = small_workload();
         let res = run_one(SystemConfig::dilos(), &mut w, params);
-        assert!(res.stats.spin_ns > 0, "DiLOS busy-waits under load");
+        assert!(
+            res.metrics.counter("spin_ns").unwrap_or(0) > 0,
+            "DiLOS busy-waits under load"
+        );
         assert!(
             res.spin_fraction() <= 1.0 + 1e-9,
             "spin fraction {} must not exceed total worker time",
@@ -4531,6 +4429,25 @@ mod tests {
             win >= measure && win < measure * 1.5,
             "window {win} ns should be ≈ measure window {measure} ns"
         );
+        // Completions flow through both the recorder and the registry.
+        // The recorder windows on each completion's rx timestamp while
+        // the registry re-bases at the first *event* past each boundary
+        // (and worker virtual clocks lead the event clock), so the two
+        // may disagree by the couple of requests in flight at a
+        // boundary — but no more.
+        let reg = res.metrics.counter("completions").unwrap();
+        let rec = res.recorder.completed_in_window();
+        assert!(
+            reg.abs_diff(rec) <= 8,
+            "registry completions {reg} vs recorder {rec}"
+        );
+        // Gauges exist and saw activity.
+        let qd = res
+            .metrics
+            .gauge("queue_depth")
+            .expect("queue_depth registered");
+        assert!(qd.max >= 1.0);
+        assert!(res.metrics.gauge("qp_outstanding").is_some());
     }
 
     #[test]
@@ -4550,35 +4467,6 @@ mod tests {
         assert!(names.contains(&("dispatch", "arrival")));
         assert!(names.contains(&("fault", "miss")));
         assert!(names.contains(&("worker", "complete")));
-    }
-
-    #[test]
-    fn metrics_registry_matches_stats_view() {
-        let mut w = small_workload();
-        let res = run_one(SystemConfig::dilos(), &mut w, quick_params(1_500_000.0));
-        let m = &res.metrics;
-        assert_eq!(m.counter("spin_ns"), Some(res.stats.spin_ns));
-        assert_eq!(m.counter("preemptions"), Some(res.stats.preemptions));
-        assert_eq!(m.counter("qp_stalls"), Some(res.stats.qp_stalls));
-        assert_eq!(m.counter("coalesced"), Some(res.stats.coalesced));
-        assert_eq!(m.counter("writebacks"), Some(res.stats.writebacks));
-        assert_eq!(m.counter("steals"), Some(res.stats.steals));
-        // Completions flow through both the recorder and the registry.
-        // The recorder windows on each completion's rx timestamp while
-        // the registry re-bases at the first *event* past each boundary
-        // (and worker virtual clocks lead the event clock), so the two
-        // may disagree by the couple of requests in flight at a
-        // boundary — but no more.
-        let reg = m.counter("completions").unwrap();
-        let rec = res.recorder.completed_in_window();
-        assert!(
-            reg.abs_diff(rec) <= 8,
-            "registry completions {reg} vs recorder {rec}"
-        );
-        // Gauges exist and saw activity.
-        let qd = m.gauge("queue_depth").expect("queue_depth registered");
-        assert!(qd.max >= 1.0);
-        assert!(m.gauge("qp_outstanding").is_some());
     }
 
     // ----- memnode sharding ---------------------------------------------
@@ -4806,12 +4694,22 @@ mod tests {
     }
 
     #[test]
-    fn conservation_tracked_on_legacy_single_stream_runs() {
+    fn default_runs_account_one_tenant_window() {
+        // Leaving `tenants` unset builds a one-tenant plane: its single
+        // window must carry the recorder's whole view, and nothing may
+        // shed without an admission policy.
         let res = run(SystemKind::Adios, 400_000.0);
         assert!(res.conservation.holds(), "{:?}", res.conservation);
         assert!(res.conservation.arrivals > 0);
-        assert_eq!(res.conservation.sheds, 0, "no plane, no sheds");
-        assert!(res.tenants.is_empty(), "no plane, no tenant windows");
+        assert_eq!(res.conservation.sheds, 0, "no admission policy, no sheds");
+        assert_eq!(res.tenants.len(), 1, "the default plane has one tenant");
+        let t = &res.tenants[0];
+        assert!(t.arrivals > 0);
+        assert_eq!(t.arrivals, t.admitted + t.drops);
+        assert_eq!(t.completed, res.recorder.completed_in_window());
+        assert_eq!(t.drops, res.recorder.dropped());
+        assert_eq!(t.sheds, 0);
+        assert_eq!(t.offered_rps, res.offered_rps);
     }
 
     // ----- dispatcher scaling --------------------------------------------
@@ -4862,6 +4760,57 @@ mod tests {
                 "the run must exercise admits and delegated recycles"
             );
             assert_matches_scalar_reference(&cfg, &res.dispatcher_log);
+        }
+    }
+
+    #[test]
+    fn high_priority_requests_are_admitted_at_the_end_of_their_own_charge() {
+        // With only high-priority tenants, an admit tick on core `d`
+        // must admit exactly the request whose admission charge on `d`
+        // ends at that tick — under every policy and core count, so
+        // that its handoff and recycle are billed to the core that
+        // admitted it.
+        for policy in [
+            DispatchPolicy::SingleFcfs,
+            DispatchPolicy::WorkStealing,
+            DispatchPolicy::FlatCombining,
+        ] {
+            for ndisp in [1, 2, 4] {
+                let cfg = SystemConfig {
+                    dispatchers: ndisp,
+                    dispatch_policy: policy,
+                    workers: 32,
+                    ..SystemConfig::adios()
+                };
+                let plane = TenantPlane::new(vec![
+                    TenantSpec::new(2_000_000.0, "array", TenantPriority::High),
+                    TenantSpec::new(1_000_000.0, "array", TenantPriority::High),
+                ]);
+                let mut w = small_workload();
+                let res = run_one(cfg, &mut w, tenant_params(plane));
+                // Request ids are recycled slots: a request's k-th
+                // admission charge pairs with its k-th admit tick.
+                let mut charges: FxHashMap<usize, VecDeque<&DispatchCharge>> = FxHashMap::default();
+                for c in res
+                    .dispatcher_log
+                    .iter()
+                    .filter(|c| c.op == DispatchOp::Admit)
+                {
+                    charges.entry(c.req).or_default().push_back(c);
+                }
+                assert!(res.admit_log.len() > 10_000, "{policy:?} x {ndisp}");
+                for &(req, at, disp) in &res.admit_log {
+                    let c = charges
+                        .get_mut(&req)
+                        .and_then(VecDeque::pop_front)
+                        .expect("an admit tick needs an admission charge");
+                    assert_eq!(
+                        (c.end, c.disp),
+                        (at, disp),
+                        "{policy:?} x {ndisp}: request {req} admitted off its own charge"
+                    );
+                }
+            }
         }
     }
 

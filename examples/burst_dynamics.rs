@@ -1,5 +1,5 @@
 //! Queue dynamics under bursty arrivals (§3.2's burst-tolerance
-//! argument, visualised with the simulator's timeline sampler).
+//! argument, visualised with the flight recorder's queue-depth series).
 //!
 //! ```text
 //! cargo run --release --example burst_dynamics
@@ -10,11 +10,12 @@ use adios::prelude::*;
 fn main() {
     let mut wl = ArrayIndexWorkload::new(65_536);
     let rate = 1_600_000.0;
-    for (name, burst) in [
-        ("steady Poisson", None),
+    let steady = TenantSpec::new(rate, "array", TenantPriority::High);
+    for (name, tenant) in [
+        ("steady Poisson", steady.clone()),
         (
             "MMPP bursts 1.9x / 400us phases",
-            Some((1.9, SimDuration::from_micros(400))),
+            steady.with_burst(1.9, SimDuration::from_micros(400)),
         ),
     ] {
         let r = run_one(
@@ -27,37 +28,41 @@ fn main() {
                 measure: SimDuration::from_millis(25),
                 local_mem_fraction: 0.2,
                 keep_breakdowns: false,
-                burst,
-                timeline_bucket: Some(SimDuration::from_micros(500)),
                 trace_capacity: None,
                 spans: None,
                 faults: None,
-                telemetry: None,
+                telemetry: Some(TelemetryConfig {
+                    tick: SimDuration::from_micros(500),
+                    ..Default::default()
+                }),
                 profile: None,
                 memory: None,
-                tenants: None,
+                tenants: Some(TenantPlane::new(vec![tenant])),
             },
         );
-        let tl = r.timeline.as_ref().expect("timeline requested");
+        let telemetry = r.telemetry.as_ref().expect("telemetry requested");
+        let depth = telemetry
+            .gauge_series("queue_depth")
+            .expect("queue_depth is sampled");
         println!(
             "\n{name}: achieved {:.0} RPS, P99.9 {:.1} us, drops {}",
             r.recorder.achieved_rps(),
             r.recorder.overall().percentile(99.9) as f64 / 1e3,
             r.recorder.dropped()
         );
-        println!("  queue depth over time (500 us buckets, '#' ≈ 4 requests):");
-        for (t, depth) in tl.queue_depth.means().iter().take(30) {
+        println!("  queue depth over time (500 us ticks, '#' ≈ 4 requests):");
+        for (t, d) in depth.means().iter().take(30) {
             println!(
                 "  {:>7.1} ms |{}",
                 t.as_secs_f64() * 1e3,
-                "#".repeat((depth / 4.0).round() as usize)
+                "#".repeat((d / 4.0).round() as usize)
             );
         }
-        println!(
-            "  mean queue {:.1}, peak {:.0}",
-            tl.queue_depth.overall_mean(),
-            tl.queue_depth.global_max()
-        );
+        let qd = r
+            .metrics
+            .gauge("queue_depth")
+            .expect("queue_depth registered");
+        println!("  mean queue {:.1}, peak {:.0}", qd.mean, qd.max);
     }
     println!("\nthe pre-allocated unithread pool (131,072 buffers in the paper)");
     println!("exists to absorb exactly these oscillations (§3.2).");

@@ -26,8 +26,6 @@ fn golden() {
         measure: SimDuration::from_millis(12),
         local_mem_fraction: 0.2,
         keep_breakdowns: false,
-        burst: None,
-        timeline_bucket: None,
         trace_capacity: Some(200_000),
         spans: Some(adios::desim::SpanConfig::with_exemplars(95.0, 32)),
         faults: None,

@@ -36,8 +36,6 @@ fn main() {
                     measure: SimDuration::from_millis(300),
                     local_mem_fraction: 0.2,
                     keep_breakdowns: false,
-                    burst: None,
-                    timeline_bucket: None,
                     trace_capacity: None,
                     spans: None,
                     faults: None,

@@ -12,8 +12,6 @@ fn params(rps: f64, measure_ms: u64) -> RunParams {
         measure: SimDuration::from_millis(measure_ms),
         local_mem_fraction: 0.2,
         keep_breakdowns: false,
-        burst: None,
-        timeline_bucket: None,
         trace_capacity: None,
         spans: None,
         faults: None,
@@ -30,7 +28,10 @@ fn memcached_serves_and_dirties_pages() {
     let r = run_one(SystemConfig::adios(), &mut wl, params(400_000.0, 15));
     assert!(r.recorder.completed_in_window() > 3_000);
     // GETs bump LRU metadata → evictions of dirty pages → write-backs.
-    assert!(r.stats.writebacks > 0, "LRU bumps must cause write-backs");
+    assert!(
+        r.metrics.counter("writebacks").unwrap_or(0) > 0,
+        "LRU bumps must cause write-backs"
+    );
     assert_eq!(r.recorder.dropped(), 0);
 }
 
@@ -89,7 +90,7 @@ fn rocksdb_scans_benefit_from_readahead() {
         ..SystemConfig::adios()
     };
     let off = run_one(cfg_off, &mut wl, params(200_000.0, 15));
-    assert!(on.stats.prefetches > 0);
+    assert!(on.metrics.counter("prefetches").unwrap_or(0) > 0);
     assert!(
         on.recorder.class(CLASS_SCAN).percentile(50.0)
             < off.recorder.class(CLASS_SCAN).percentile(50.0),
@@ -112,7 +113,7 @@ fn tpcc_runs_transactionally_under_simulation() {
         );
     }
     // TPC-C writes must flow back to the memory node.
-    assert!(r.stats.writebacks > 0);
+    assert!(r.metrics.counter("writebacks").unwrap_or(0) > 0);
 }
 
 #[test]
@@ -146,7 +147,7 @@ fn faiss_queries_are_millisecond_scale_and_sequential() {
         "vector search should be sub-50ms but far above µs: {p50} ns"
     );
     assert!(
-        r.stats.prefetches > 0,
+        r.metrics.counter("prefetches").unwrap_or(0) > 0,
         "IVF list sweeps must trigger readahead"
     );
 }

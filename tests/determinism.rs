@@ -13,8 +13,6 @@ fn params(seed: u64) -> RunParams {
         measure: SimDuration::from_millis(12),
         local_mem_fraction: 0.2,
         keep_breakdowns: false,
-        burst: None,
-        timeline_bucket: None,
         trace_capacity: None,
         spans: None,
         faults: None,
@@ -30,7 +28,7 @@ fn fingerprint(r: &RunResult) -> (u64, u64, u64, u64, u64) {
         r.recorder.completed_in_window(),
         r.recorder.overall().percentile(50.0),
         r.recorder.overall().percentile(99.9),
-        r.stats.prefetches,
+        r.metrics.counter("prefetches").unwrap_or(0),
         r.cache.misses,
     )
 }

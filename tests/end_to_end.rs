@@ -12,8 +12,6 @@ fn params(rps: f64) -> RunParams {
         measure: SimDuration::from_millis(15),
         local_mem_fraction: 0.2,
         keep_breakdowns: false,
-        burst: None,
-        timeline_bucket: None,
         trace_capacity: None,
         spans: None,
         faults: None,
@@ -188,8 +186,8 @@ fn preemption_is_counterproductive_on_low_dispersion() {
     // Remote requests (~5.5 µs busy-waited service) exceed the 5 µs
     // quantum, so most of them eat a pointless preemption — exactly why
     // the paper finds preemption counterproductive at low dispersion.
-    assert!(p.stats.preemptions > 0);
-    assert_eq!(d.stats.preemptions, 0);
+    assert!(p.metrics.counter("preemptions").unwrap_or(0) > 0);
+    assert_eq!(d.metrics.counter("preemptions"), Some(0));
 }
 
 #[test]
@@ -199,7 +197,12 @@ fn bursty_arrivals_raise_the_tail_at_equal_mean_load() {
     let mut wl = ArrayIndexWorkload::new(32_768);
     let steady = params(1_000_000.0);
     let mut bursty = params(1_000_000.0);
-    bursty.burst = Some((1.9, SimDuration::from_micros(300)));
+    bursty.tenants = Some(TenantPlane::new(vec![TenantSpec::new(
+        1_000_000.0,
+        "array",
+        TenantPriority::High,
+    )
+    .with_burst(1.9, SimDuration::from_micros(300))]));
     let s = run_one(SystemConfig::adios(), &mut wl, steady);
     let b = run_one(SystemConfig::adios(), &mut wl, bursty);
     assert!(
@@ -242,7 +245,7 @@ fn work_stealing_approximates_the_single_queue() {
         ..SystemConfig::adios()
     };
     let ws = run_one(ws_cfg, &mut wl, params(1_600_000.0));
-    assert!(ws.stats.steals > 0);
+    assert!(ws.metrics.counter("steals").unwrap_or(0) > 0);
     let ratio = ws.recorder.overall().percentile(99.9) as f64
         / sq.recorder.overall().percentile(99.9) as f64;
     assert!(

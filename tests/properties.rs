@@ -18,8 +18,6 @@ fn run_micro(kind: SystemKind, rps: f64, frac: f64, seed: u64) -> RunResult {
             measure: SimDuration::from_millis(6),
             local_mem_fraction: frac,
             keep_breakdowns: false,
-            burst: None,
-            timeline_bucket: None,
             ..Default::default()
         },
     )
@@ -126,8 +124,6 @@ fn breakdowns_are_sane() {
                 measure: SimDuration::from_millis(6),
                 local_mem_fraction: 0.2,
                 keep_breakdowns: true,
-                burst: None,
-                timeline_bucket: None,
                 ..Default::default()
             },
         );
@@ -470,8 +466,6 @@ fn app_traces_always_complete() {
                 measure: SimDuration::from_millis(8),
                 local_mem_fraction: 0.2,
                 keep_breakdowns: false,
-                burst: None,
-                timeline_bucket: None,
                 ..Default::default()
             },
         );
@@ -580,8 +574,6 @@ fn slo_breach_intervals_are_well_formed_and_match_burn_series() {
             measure: SimDuration::from_millis(12),
             local_mem_fraction: 0.2,
             keep_breakdowns: false,
-            burst: None,
-            timeline_bucket: None,
             faults: Some(FaultScenario::lossy()),
             telemetry: Some(TelemetryConfig {
                 tick: SimDuration::from_micros(100),
@@ -667,8 +659,6 @@ fn telemetry_rates_survive_the_warmup_rebase_boundary() {
             measure: SimDuration::from_millis(6),
             local_mem_fraction: 0.2,
             keep_breakdowns: false,
-            burst: None,
-            timeline_bucket: None,
             telemetry: Some(TelemetryConfig {
                 // Four ticks per warm-up ms: the registry reset at 1 ms
                 // lands inside the (750 µs, 1 ms] sampling period, so
